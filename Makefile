@@ -1,12 +1,15 @@
 CARGO ?= cargo
 
-.PHONY: verify build test test-scalar clippy fmt bench-discovery bench-smoke serve-smoke trace-smoke chaos-smoke load-smoke fleet-smoke stream-smoke
+.PHONY: verify build test test-scalar clippy fmt perfbench-test bench-discovery bench-smoke serve-smoke trace-smoke chaos-smoke load-smoke fleet-smoke stream-smoke
 
 ## Seeds the chaos harness runs at (CI runs all three and uploads the logs).
 CHAOS_SEEDS ?= 42 7 1234
 
-## Full local verification: what CI runs, in the same order.
-verify: build test test-scalar clippy fmt fleet-smoke stream-smoke
+## Local verification: CI's build, test, lint and perfbench steps plus the
+## fleet and stream smokes, in CI's order. It omits CI's serve, trace,
+## chaos, bench and load smokes (serve-smoke, trace-smoke, chaos-smoke,
+## bench-smoke, load-smoke); run those targets by name.
+verify: build test test-scalar clippy fmt perfbench-test fleet-smoke stream-smoke
 
 build:
 	$(CARGO) build --release
@@ -25,6 +28,12 @@ clippy:
 
 fmt:
 	$(CARGO) fmt --all -- --check
+
+## The benchmark (perfbench/, its own workspace) builds against crates/* by
+## path: building it and running its unit tests catches an API change that
+## would break the benchmark.
+perfbench-test:
+	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
 
 ## Regenerates BENCH_discovery.json (scalability sweeps + threads-vs-speedup
 ## curve for the discovery pipeline).

@@ -133,6 +133,15 @@ pub struct RunResult {
     pub n_cohorts: usize,
 }
 
+/// Splits an epoch budget 60/40 between Step 1 (MFLM pre-training) and
+/// Step 4 (joint exploitation), giving each step at least one epoch: a step
+/// with zero epochs is neither trained nor timed, so a one-epoch budget
+/// would report a Step 1 of 0 s.
+pub fn split_epochs(epochs: usize) -> (usize, usize) {
+    let pretrain = ((epochs * 6) / 10).max(1);
+    (pretrain, epochs.saturating_sub(pretrain).max(1))
+}
+
 /// Builds CohortNet's config for a bundle under the given options.
 pub fn cohortnet_config(bundle: &Bundle, opts: &RunOptions) -> CohortNetConfig {
     let mut cfg = CohortNetConfig::for_dataset(&bundle.train_ds, &bundle.scaler);
@@ -140,8 +149,7 @@ pub fn cohortnet_config(bundle: &Bundle, opts: &RunOptions) -> CohortNetConfig {
     cfg.batch_size = opts.batch_size;
     cfg.seed = opts.seed;
     cfg.verbose = opts.verbose;
-    cfg.epochs_pretrain = (opts.epochs * 6) / 10;
-    cfg.epochs_exploit = opts.epochs - cfg.epochs_pretrain;
+    (cfg.epochs_pretrain, cfg.epochs_exploit) = split_epochs(opts.epochs);
     if let Some(k) = opts.k_states {
         cfg.k_states = k;
     }
@@ -274,6 +282,16 @@ pub fn run_model(kind: ModelKind, bundle: &Bundle, opts: &RunOptions) -> RunResu
 mod tests {
     use super::*;
     use cohortnet_ehr::profiles;
+
+    #[test]
+    fn every_step_gets_at_least_one_epoch() {
+        assert_eq!(split_epochs(0), (1, 1));
+        assert_eq!(split_epochs(1), (1, 1));
+        assert_eq!(split_epochs(2), (1, 1));
+        assert_eq!(split_epochs(3), (1, 2));
+        assert_eq!(split_epochs(5), (3, 2));
+        assert_eq!(split_epochs(10), (6, 4));
+    }
 
     #[test]
     fn run_model_smoke_gru_and_cohortnet() {

@@ -7,11 +7,18 @@
 //! the individual prediction (Eq. 14); the calibration score `z = w^c · ĥ`
 //! decomposes into feature- and cohort-level scores (Eq. 15–17), which is
 //! what the interpretation module reads off.
+//!
+//! Like the MFLM, the module is written once against [`Exec`]. Its two
+//! inputs that depend on the caller are explicit: the cohort keysᵀ/values
+//! ([`Cem::project_cohorts`] — per batch on a tape, once per model when
+//! serving) and the Eq. 10 bitmaps as [`CohortMask`] matrices (from
+//! [`CohortPool::bitmap`] on the tape, from the packed
+//! [`crate::index::CohortIndex`] when serving).
 
 use crate::config::CohortNetConfig;
 use crate::crlm::CohortPool;
 use cohortnet_tensor::nn::Linear;
-use cohortnet_tensor::{Matrix, ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, Matrix, ParamStore, Var};
 use rand::rngs::StdRng;
 
 /// The Cohort Exploitation Module.
@@ -25,17 +32,54 @@ pub struct Cem {
     pub d_value: usize,
 }
 
-/// Intermediate values of a CEM forward pass, kept for interpretation.
-pub struct CemTrace {
+/// Intermediate values of a CEM forward pass, kept for interpretation. `V`
+/// is the executor's value type ([`Var`] on a tape).
+pub struct CemTrace<V = Var> {
     /// Cohort-calibration logits `w^c · ĥ` (`batch x n_labels`).
-    pub logits: Var,
+    pub logits: V,
     /// Patient-level cohort representation `ĥ` (`batch x F*d_v`).
-    pub h_hat: Var,
+    pub h_hat: V,
     /// Per-feature cohort attention `β_i` (`batch x |C_i|`), `None` for
     /// features without cohorts.
-    pub attention: Vec<Option<Var>>,
+    pub attention: Vec<Option<V>>,
     /// Per-feature cohort context `h'_i` (`batch x d_v`).
-    pub contexts: Vec<Var>,
+    pub contexts: Vec<V>,
+}
+
+/// One feature's cohort keysᵀ (`d_att x |C_i|`) and values (`|C_i| x d_v`)
+/// — the projections `W_K · C_i` and `W_V · C_i` of Eq. 11/13. `None` for a
+/// feature without cohorts.
+pub type CohortKv<V> = Option<(V, V)>;
+
+/// One feature's Eq. 10 relevance bits over a batch, as the two constants
+/// the masked softmax of Eq. 12 consumes.
+#[derive(Debug, Clone)]
+pub struct CohortMask {
+    /// `batch x |C_i|`: `0` for a relevant cohort, `-1e9` otherwise.
+    pub offset: Matrix,
+    /// `batch x 1`: `1` when the row has any relevant cohort, else `0` (the
+    /// row's context is zeroed).
+    pub any: Matrix,
+}
+
+impl CohortMask {
+    /// Builds the mask of a `batch x n_cohorts` bitmap given by `bit(r, q)`.
+    pub fn from_fn(batch: usize, n_cohorts: usize, bit: impl Fn(usize, usize) -> bool) -> Self {
+        let mut offset = Matrix::zeros(batch, n_cohorts);
+        let mut any = Matrix::zeros(batch, 1);
+        for r in 0..batch {
+            let mut has = false;
+            for q in 0..n_cohorts {
+                if bit(r, q) {
+                    has = true;
+                } else {
+                    offset[(r, q)] = -1e9;
+                }
+            }
+            any[(r, 0)] = f32::from(has);
+        }
+        CohortMask { offset, any }
+    }
 }
 
 impl Cem {
@@ -89,71 +133,71 @@ impl Cem {
         (&self.wq, &self.wk, &self.wv)
     }
 
-    /// Runs cohort exploitation for a batch.
-    ///
-    /// * `h_final[i]` — the MFLM channel representation `h_i^T`
-    ///   (`batch x d_h`);
-    /// * `bitmaps[i]` — row-major `(batch x |C_i|)` relevance bits from
-    ///   Eq. 10.
-    pub fn forward(
+    /// Projects every feature's constant cohort representations `C_i`
+    /// (Eq. 9) to keysᵀ and values (see [`CohortKv`]). On a tape the
+    /// projections are recorded per batch, so gradients reach `W_K`/`W_V`;
+    /// serving runs this once per compiled model.
+    pub fn project_cohorts<E: Exec>(
         &self,
-        t: &mut Tape,
+        t: &mut E,
         ps: &ParamStore,
         pool: &CohortPool,
-        h_final: &[Var],
-        bitmaps: &[Vec<bool>],
+    ) -> Vec<CohortKv<E::V>> {
+        (0..pool.per_feature.len())
+            .map(|i| {
+                if pool.per_feature[i].is_empty() {
+                    return None;
+                }
+                let c_i = t.constant(pool.cohort_matrix(i));
+                let keys = self.wk.forward(t, ps, &c_i); // |C_i| x d_att
+                let values = self.wv.forward(t, ps, &c_i); // |C_i| x d_v
+                Some((t.transpose(&keys), values))
+            })
+            .collect()
+    }
+
+    /// Runs cohort exploitation for a batch.
+    ///
+    /// * `kv[i]` — feature `i`'s cohort keysᵀ/values from
+    ///   [`Cem::project_cohorts`];
+    /// * `h_final[i]` — the MFLM channel representation `h_i^T`
+    ///   (`batch x d_h`);
+    /// * `masks[i]` — feature `i`'s Eq. 10 relevance bits (`Some` exactly
+    ///   where `kv[i]` is).
+    pub fn forward<E: Exec>(
+        &self,
+        t: &mut E,
+        ps: &ParamStore,
+        kv: &[CohortKv<E::V>],
+        h_final: &[E::V],
+        masks: Vec<Option<CohortMask>>,
         batch: usize,
-    ) -> CemTrace {
+    ) -> CemTrace<E::V> {
         let nf = h_final.len();
         let mut contexts = Vec::with_capacity(nf);
         let mut attention = Vec::with_capacity(nf);
-        for i in 0..nf {
-            let n_cohorts = pool.per_feature[i].len();
-            if n_cohorts == 0 {
+        for ((kv_i, mask), h_i) in kv.iter().zip(masks).zip(h_final) {
+            let (Some((keys_t, values)), Some(mask)) = (kv_i, mask) else {
                 contexts.push(t.constant(Matrix::zeros(batch, self.d_value)));
                 attention.push(None);
                 continue;
-            }
-            // Constant cohort representations; keys/values are learned
-            // projections of them (gradients flow into W_K / W_V).
-            let c_i = t.constant(pool.cohort_matrix(i));
-            let keys = self.wk.forward(t, ps, c_i); // |C_i| x d_att
-            let values = self.wv.forward(t, ps, c_i); // |C_i| x d_v
-            let q = self.wq.forward(t, ps, h_final[i]); // batch x d_att
-            let kt = t.transpose(keys);
-            let scores = t.matmul(q, kt); // batch x |C_i|
-                                          // Mask out irrelevant cohorts (b = 0) with a large negative
-                                          // offset; rows with no relevant cohort at all are zeroed after.
-            let bits = &bitmaps[i];
-            debug_assert_eq!(
-                bits.len(),
-                batch * n_cohorts,
-                "bitmap shape for feature {i}"
-            );
-            let mut mask = Matrix::zeros(batch, n_cohorts);
-            let mut any = Matrix::zeros(batch, 1);
-            for r in 0..batch {
-                let mut has = false;
-                for qx in 0..n_cohorts {
-                    if bits[r * n_cohorts + qx] {
-                        has = true;
-                    } else {
-                        mask[(r, qx)] = -1e9;
-                    }
-                }
-                any[(r, 0)] = f32::from(has);
-            }
-            let mask_c = t.constant(mask);
-            let any_c = t.constant(any);
-            let masked = t.add(scores, mask_c);
-            let beta = t.softmax_rows(masked); // Eq. 12
-            let ctx_raw = t.matmul(beta, values); // Eq. 13
-            let ctx = t.mul_col_broadcast(ctx_raw, any_c);
+            };
+            let q = self.wq.forward(t, ps, h_i); // batch x d_att
+            let scores = t.matmul(&q, keys_t); // batch x |C_i|
+
+            // Mask out irrelevant cohorts (b = 0) with a large negative
+            // offset; rows with no relevant cohort at all are zeroed after.
+            let mask_c = t.constant(mask.offset);
+            let any_c = t.constant(mask.any);
+            let masked = t.add(&scores, &mask_c);
+            let beta = t.softmax_rows(&masked); // Eq. 12
+            let ctx_raw = t.matmul(&beta, values); // Eq. 13
+            let ctx = t.mul_col_broadcast(&ctx_raw, &any_c);
             contexts.push(ctx);
             attention.push(Some(beta));
         }
-        let h_hat = t.concat_cols(&contexts);
-        let logits = self.head.forward(t, ps, h_hat);
+        let h_hat = t.concat_cols(&contexts.iter().collect::<Vec<_>>());
+        let logits = self.head.forward(t, ps, &h_hat);
         CemTrace {
             logits,
             h_hat,
@@ -167,7 +211,30 @@ impl Cem {
 mod tests {
     use super::*;
     use crate::cdm::mine_patterns;
+    use cohortnet_tensor::Tape;
     use rand::SeedableRng;
+
+    /// Runs the CEM on a tape with row-major `batch x |C_i|` bitmaps.
+    fn forward_bits(
+        cem: &Cem,
+        tape: &mut Tape,
+        ps: &ParamStore,
+        pool: &CohortPool,
+        h_final: &[Var],
+        bits: &[Vec<bool>],
+        batch: usize,
+    ) -> CemTrace {
+        let kv = cem.project_cohorts(tape, ps, pool);
+        let masks = bits
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                let nc = pool.per_feature[i].len();
+                (nc > 0).then(|| CohortMask::from_fn(batch, nc, |r, q| b[r * nc + q]))
+            })
+            .collect();
+        cem.forward(tape, ps, &kv, h_final, masks, batch)
+    }
 
     fn tiny_pool(cfg: &CohortNetConfig) -> CohortPool {
         let masks = vec![vec![0, 1], vec![0, 1]];
@@ -208,7 +275,7 @@ mod tests {
             bits0[nc + q] = true;
         }
         let bits1 = bits0.clone();
-        let trace = cem.forward(&mut tape, &ps, &pool, &[h0, h1], &[bits0, bits1], 3);
+        let trace = forward_bits(&cem, &mut tape, &ps, &pool, &[h0, h1], &[bits0, bits1], 3);
         assert_eq!(tape.value(trace.logits).shape(), (3, 1));
         assert_eq!(tape.value(trace.h_hat).shape(), (3, 2 * cfg.d_value));
         // Patient 0's attention concentrates fully on cohort 0.
@@ -233,7 +300,15 @@ mod tests {
         let h1 = tape.constant(Matrix::full(2, 4, -0.4));
         let nc = pool.per_feature[0].len();
         let bits = vec![true; 2 * nc];
-        let trace = cem.forward(&mut tape, &ps, &pool, &[h0, h1], &[bits.clone(), bits], 2);
+        let trace = forward_bits(
+            &cem,
+            &mut tape,
+            &ps,
+            &pool,
+            &[h0, h1],
+            &[bits.clone(), bits],
+            2,
+        );
         assert!(tape
             .value(trace.logits)
             .as_slice()
@@ -258,7 +333,15 @@ mod tests {
         let h1 = tape.constant(Matrix::full(2, 4, 0.1));
         let nc = pool.per_feature[0].len();
         let bits = vec![true; 2 * nc];
-        let trace = cem.forward(&mut tape, &ps, &pool, &[h0, h1], &[bits.clone(), bits], 2);
+        let trace = forward_bits(
+            &cem,
+            &mut tape,
+            &ps,
+            &pool,
+            &[h0, h1],
+            &[bits.clone(), bits],
+            2,
+        );
         let loss = tape.bce_with_logits(trace.logits, Matrix::from_vec(2, 1, vec![1.0, 0.0]));
         tape.backward(loss);
         tape.flush_grads(&mut ps);
@@ -284,7 +367,8 @@ mod tests {
         let h0 = tape.constant(Matrix::full(1, 4, 0.5));
         let h1 = tape.constant(Matrix::full(1, 4, 0.5));
         let nc = pool.per_feature[0].len();
-        let trace = cem.forward(
+        let trace = forward_bits(
+            &cem,
             &mut tape,
             &ps,
             &pool,

@@ -21,7 +21,7 @@ use crate::crlm::CohortPool;
 use crate::mflm::{Mflm, MflmTrace};
 use cohortnet_models::data::{make_batch, Batch, Prepared};
 use cohortnet_obs::{obs_debug, obs_info};
-use cohortnet_tensor::{Matrix, ParamStore, Tape};
+use cohortnet_tensor::{Exec, Matrix, ParamStore, Tape};
 use rand::rngs::StdRng;
 use std::time::Instant;
 
@@ -153,13 +153,18 @@ pub struct Discovery {
 
 /// Assigns the state grid for one batch from a recorded MFLM trace:
 /// row-major `(batch x (T x F))` — per patient, `T*F` states.
-pub fn batch_states(tape: &Tape, trace: &MflmTrace, batch: &Batch, fs: &FeatureStates) -> Vec<u8> {
+pub fn batch_states<E: Exec>(
+    exec: &E,
+    trace: &MflmTrace<E::V>,
+    batch: &Batch,
+    fs: &FeatureStates,
+) -> Vec<u8> {
     let t_steps = trace.o.len();
     let nf = trace.o.first().map_or(0, Vec::len);
     let mut out = vec![0u8; batch.size * t_steps * nf];
     for (t, o_step) in trace.o.iter().enumerate() {
-        for (f, &o) in o_step.iter().enumerate() {
-            let values = tape.value(o);
+        for (f, o) in o_step.iter().enumerate() {
+            let values = exec.value(o);
             for r in 0..batch.size {
                 let present = batch.mask[(r, f)] > 0.5;
                 out[r * t_steps * nf + t * nf + f] = fs.assign(f, values.row(r), present);

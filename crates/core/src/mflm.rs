@@ -12,11 +12,15 @@
 //! not reproduced in the CohortNet text): bilinear scaled-dot attention
 //! `α_ij = softmax_j((W_q e_i)·(W_k e_j))`, `u_i = Σ_j α_ij (W_v e_j)` —
 //! see DESIGN.md §1.
+//!
+//! The forward is written once against [`Exec`]: training, discovery and
+//! interpretation record it on a [`cohortnet_tensor::Tape`], serving runs
+//! it on the value-only [`cohortnet_tensor::Eager`] executor.
 
 use crate::config::CohortNetConfig;
 use cohortnet_models::data::Batch;
 use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::{Matrix, ParamId, ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, Matrix, ParamId, ParamStore, Var};
 use rand::rngs::StdRng;
 
 /// Per-feature BiEL embedding parameters.
@@ -27,22 +31,6 @@ struct BielChannel {
     v_m: ParamId,
     bound_lo: f32,
     bound_hi: f32,
-}
-
-/// Parameter handles and bounds of one BiEL channel, exposed for the
-/// gradient-free inference mirror (see [`Mflm::biel_params`]).
-#[derive(Debug, Clone, Copy)]
-pub struct BielParams {
-    /// Lower-anchor embedding `v_a` (`1 x d_embed`).
-    pub v_a: ParamId,
-    /// Upper-anchor embedding `v_b` (`1 x d_embed`).
-    pub v_b: ParamId,
-    /// Missing-value embedding `v_m` (`1 x d_embed`).
-    pub v_m: ParamId,
-    /// Feature lower bound used by the interpolation weights.
-    pub bound_lo: f32,
-    /// Feature upper bound used by the interpolation weights.
-    pub bound_hi: f32,
 }
 
 /// The Multi-channel Feature Learning Module.
@@ -71,18 +59,19 @@ pub struct Mflm {
     use_trends: bool,
 }
 
-/// Everything a forward pass exposes to the rest of the pipeline.
-pub struct MflmTrace {
+/// Everything a forward pass exposes to the rest of the pipeline. `V` is the
+/// executor's value type ([`Var`] on a tape).
+pub struct MflmTrace<V = Var> {
     /// Prediction logits from `h̃` alone (`w^p · h̃ + b^p` of Eq. 14).
-    pub logits: Var,
+    pub logits: V,
     /// Patient-level representation `h̃` (`batch x F*d_agg`).
-    pub tilde_h: Var,
+    pub tilde_h: V,
     /// Fused feature representations `o[t][f]` (`batch x d_o` each) — the
     /// vectors the Cohort Discovery Module clusters into states.
-    pub o: Vec<Vec<Var>>,
+    pub o: Vec<Vec<V>>,
     /// Final channel representations `h_i^T` (`batch x d_h` each) — used by
     /// cohort representation learning (Eq. 9) and CEM queries (Eq. 11).
-    pub h_final: Vec<Var>,
+    pub h_final: Vec<V>,
     /// Attention mass `Σ α_i[j]` accumulated over the batch and all time
     /// steps (`F x F`, row = query feature). Divide by `attn_count` for the
     /// mean — CDM's pattern mask (Eq. 8) ranks features by this.
@@ -165,19 +154,6 @@ impl Mflm {
         &self.head
     }
 
-    /// Parameter handles and bounds of feature `f`'s BiEL channel (Eq. 1) —
-    /// consumed by the gradient-free inference mirror in [`crate::infer`].
-    pub fn biel_params(&self, f: usize) -> BielParams {
-        let ch = &self.biel[f];
-        BielParams {
-            v_a: ch.v_a,
-            v_b: ch.v_b,
-            v_m: ch.v_m,
-            bound_lo: ch.bound_lo,
-            bound_hi: ch.bound_hi,
-        }
-    }
-
     /// The FIL `(W_Q, W_K, W_V)` projections of Eq. 2.
     pub fn fil_projections(&self) -> (&Linear, &Linear, &Linear) {
         (&self.wq, &self.wk, &self.wv)
@@ -203,18 +179,14 @@ impl Mflm {
         &self.agg
     }
 
-    /// Whether FIL feature interactions are enabled (ablation flag).
-    pub fn interactions_enabled(&self) -> bool {
-        self.use_interactions
-    }
-
-    /// Whether trend GRUs are enabled (ablation flag).
-    pub fn trends_enabled(&self) -> bool {
-        self.use_trends
-    }
-
     /// BiEL embeddings for all features at one time step.
-    fn embed_step(&self, t: &mut Tape, ps: &ParamStore, step: &Matrix, mask: &Matrix) -> Vec<Var> {
+    fn embed_step<E: Exec>(
+        &self,
+        t: &mut E,
+        ps: &ParamStore,
+        step: &Matrix,
+        mask: &Matrix,
+    ) -> Vec<E::V> {
         let batch = step.rows();
         (0..self.biel.len())
             .map(|f| {
@@ -241,41 +213,46 @@ impl Mflm {
                 let va = t.param(ps, ch.v_a);
                 let vb = t.param(ps, ch.v_b);
                 let vm = t.param(ps, ch.v_m);
-                let ea = t.matmul(wa, va);
-                let eb = t.matmul(wb, vb);
-                let e_present = t.add(ea, eb);
-                let e_masked = t.mul_col_broadcast(e_present, mon);
-                let em = t.matmul(moff, vm);
-                t.add(e_masked, em)
+                let ea = t.matmul(&wa, &va);
+                let eb = t.matmul(&wb, &vb);
+                let e_present = t.add(&ea, &eb);
+                let e_masked = t.mul_col_broadcast(&e_present, &mon);
+                let em = t.matmul(&moff, &vm);
+                t.add(&e_masked, &em)
             })
             .collect()
     }
 
     /// FIL at one time step: returns `(u_i, α_i)` per feature, where `α_i`
     /// is the `(batch x F)` attention row of feature `i`.
-    fn interact_step(&self, t: &mut Tape, ps: &ParamStore, es: &[Var]) -> (Vec<Var>, Vec<Var>) {
+    fn interact_step<E: Exec>(
+        &self,
+        t: &mut E,
+        ps: &ParamStore,
+        es: &[E::V],
+    ) -> (Vec<E::V>, Vec<E::V>) {
         let nf = es.len();
         let scale = 1.0 / (self.d_embed as f32).sqrt();
-        let qs: Vec<Var> = es.iter().map(|&e| self.wq.forward(t, ps, e)).collect();
-        let ks: Vec<Var> = es.iter().map(|&e| self.wk.forward(t, ps, e)).collect();
-        let vs: Vec<Var> = es.iter().map(|&e| self.wv.forward(t, ps, e)).collect();
+        let qs: Vec<E::V> = es.iter().map(|e| self.wq.forward(t, ps, e)).collect();
+        let ks: Vec<E::V> = es.iter().map(|e| self.wk.forward(t, ps, e)).collect();
+        let vs: Vec<E::V> = es.iter().map(|e| self.wv.forward(t, ps, e)).collect();
         let mut us = Vec::with_capacity(nf);
         let mut alphas = Vec::with_capacity(nf);
         for i in 0..nf {
             let mut scores = Vec::with_capacity(nf);
             for j in 0..nf {
-                let qk = t.mul(qs[i], ks[j]);
-                let s = t.sum_cols(qk);
-                scores.push(t.scale(s, scale));
+                let qk = t.mul(&qs[i], &ks[j]);
+                let s = t.sum_cols(&qk);
+                scores.push(t.scale(&s, scale));
             }
-            let mat = t.concat_cols(&scores);
-            let alpha = t.softmax_rows(mat);
-            let mut u: Option<Var> = None;
-            for (j, &v) in vs.iter().enumerate() {
-                let a_j = t.slice_cols(alpha, j, j + 1);
-                let w = t.mul_col_broadcast(v, a_j);
+            let mat = t.concat_cols(&scores.iter().collect::<Vec<_>>());
+            let alpha = t.softmax_rows(&mat);
+            let mut u: Option<E::V> = None;
+            for (j, v) in vs.iter().enumerate() {
+                let a_j = t.slice_cols(&alpha, j, j + 1);
+                let w = t.mul_col_broadcast(v, &a_j);
                 u = Some(match u {
-                    Some(acc) => t.add(acc, w),
+                    Some(acc) => t.add(&acc, &w),
                     None => w,
                 });
             }
@@ -290,26 +267,26 @@ impl Mflm {
     /// `record_attention_steps` additionally stores each step's full
     /// attention matrix (use for single-patient interpretation only — it is
     /// `T` matrices of `F x F`).
-    pub fn forward(
+    pub fn forward<E: Exec>(
         &self,
-        t: &mut Tape,
+        t: &mut E,
         ps: &ParamStore,
         batch: &Batch,
         record_attention_steps: bool,
-    ) -> MflmTrace {
+    ) -> MflmTrace<E::V> {
         let nf = self.n_features();
         let steps = batch.steps.len();
-        let mut lstate: Vec<Var> = self
+        let mut lstate: Vec<E::V> = self
             .lgru
             .iter()
             .map(|c| c.init_state(t, batch.size))
             .collect();
-        let mut gstate: Vec<Var> = self
+        let mut gstate: Vec<E::V> = self
             .ggru
             .iter()
             .map(|c| c.init_state(t, batch.size))
             .collect();
-        let mut o_all: Vec<Vec<Var>> = Vec::with_capacity(steps);
+        let mut o_all: Vec<Vec<E::V>> = Vec::with_capacity(steps);
         let mut attn_sum = Matrix::zeros(nf, nf);
         let mut attn_count = 0usize;
         let mut attn_per_step = if record_attention_steps {
@@ -330,7 +307,7 @@ impl Mflm {
             };
             // Accumulate attention mass for CDM's pattern mask.
             let mut step_attn = Matrix::zeros(nf, nf);
-            for (i, &a) in alphas.iter().enumerate() {
+            for (i, a) in alphas.iter().enumerate() {
                 let av = t.value(a);
                 for r in 0..av.rows() {
                     for j in 0..nf {
@@ -351,31 +328,32 @@ impl Mflm {
                 Some(t.constant(Matrix::zeros(batch.size, self.d_trend)))
             };
             for f in 0..nf {
-                let trend = match zero_trend {
+                let trend = match &zero_trend {
                     Some(z) => z,
                     None => {
-                        lstate[f] = self.lgru[f].step(t, ps, es[f], lstate[f]);
-                        lstate[f]
+                        lstate[f] = self.lgru[f].step(t, ps, &es[f], &lstate[f]);
+                        &lstate[f]
                     }
                 };
-                let joined = t.concat_cols(&[es[f], us[f], trend]);
+                let joined = t.concat_cols(&[&es[f], &us[f], trend]);
                 let fused_pre = self.feafus.forward(t, ps, joined);
-                let o = t.tanh(fused_pre);
-                gstate[f] = self.ggru[f].step(t, ps, o, gstate[f]);
+                let o = t.tanh(&fused_pre);
+                gstate[f] = self.ggru[f].step(t, ps, &o, &gstate[f]);
                 o_step.push(o);
             }
             o_all.push(o_step);
         }
 
         // FeaAgg: compress each final channel state and concatenate.
-        let compressed: Vec<Var> = (0..nf)
-            .map(|f| {
-                let c_pre = self.agg.forward(t, ps, gstate[f]);
-                t.tanh(c_pre)
+        let compressed: Vec<E::V> = gstate
+            .iter()
+            .map(|g| {
+                let c_pre = self.agg.forward(t, ps, g);
+                t.tanh(&c_pre)
             })
             .collect();
-        let tilde_h = t.concat_cols(&compressed);
-        let logits = self.head.forward(t, ps, tilde_h);
+        let tilde_h = t.concat_cols(&compressed.iter().collect::<Vec<_>>());
+        let logits = self.head.forward(t, ps, &tilde_h);
 
         MflmTrace {
             logits,
@@ -394,6 +372,7 @@ mod tests {
     use super::*;
     use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
     use cohortnet_models::data::{make_batch, prepare};
+    use cohortnet_tensor::Tape;
     use rand::SeedableRng;
 
     fn setup() -> (CohortNetConfig, cohortnet_models::data::Prepared) {

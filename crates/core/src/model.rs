@@ -1,13 +1,18 @@
 //! The full CohortNet model: MFLM + (after discovery) CDM/CRLM artefacts +
 //! CEM, combined by Eq. 14: `ỹ = σ(w^p·h̃ + b^p + w^c·ĥ)`.
+//!
+//! The forward ([`CohortNetModel::forward_with`]) is generic over the
+//! executor: training and interpretation record it on a [`Tape`] through
+//! [`CohortNetModel::forward_trace`], serving runs the same definition on the
+//! eager executor (see [`crate::infer`]).
 
-use crate::cem::{Cem, CemTrace};
+use crate::cem::{Cem, CemTrace, CohortKv, CohortMask};
 use crate::config::CohortNetConfig;
 use crate::discover::{batch_states, discover, Discovery};
 use crate::mflm::{Mflm, MflmTrace};
 use cohortnet_models::data::{Batch, Prepared};
 use cohortnet_models::traits::SequenceModel;
-use cohortnet_tensor::{ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 
 /// CohortNet: the paper's model.
@@ -15,6 +20,7 @@ use rand::rngs::StdRng;
 /// Freshly constructed it runs MFLM only (the `w/o c` configuration); after
 /// [`CohortNetModel::run_discovery`] the forward pass applies the full
 /// cohort-calibrated prediction.
+#[derive(Debug, Clone)]
 pub struct CohortNetModel {
     /// Multi-channel Feature Learning Module.
     pub mflm: Mflm,
@@ -27,14 +33,15 @@ pub struct CohortNetModel {
     label: &'static str,
 }
 
-/// Full forward trace for interpretation.
-pub struct FullTrace {
+/// Full forward trace for interpretation. `V` is the executor's value type
+/// ([`Var`] on a tape).
+pub struct FullTrace<V = Var> {
     /// Combined logits (Eq. 14).
-    pub logits: Var,
+    pub logits: V,
     /// MFLM trace (individual-data path).
-    pub mflm: MflmTrace,
+    pub mflm: MflmTrace<V>,
     /// CEM trace, when cohorts are active.
-    pub cem: Option<CemTrace>,
+    pub cem: Option<CemTrace<V>>,
     /// Per-patient state grids `(batch x (T x F))`, when cohorts are active.
     pub states: Option<Vec<u8>>,
 }
@@ -99,18 +106,56 @@ impl CohortNetModel {
         self.discovery.as_ref().unwrap()
     }
 
-    /// Full forward pass returning every interpretable intermediate.
-    pub fn forward_trace(
+    /// Full forward pass returning every interpretable intermediate: the
+    /// cohort keys/values are projected for this batch and the Eq. 10
+    /// bitmaps read from the discovered [`crate::crlm::CohortPool`].
+    pub fn forward_trace<E: Exec>(
         &self,
-        t: &mut Tape,
+        t: &mut E,
         ps: &ParamStore,
         batch: &Batch,
         record_attention_steps: bool,
-    ) -> FullTrace {
+    ) -> FullTrace<E::V> {
+        let Some(d) = &self.discovery else {
+            return self.forward_with(t, ps, batch, record_attention_steps, &[], |_| Vec::new());
+        };
+        let kv = self.cem.project_cohorts(t, ps, &d.pool);
+        let nf = self.mflm.n_features();
+        let t_steps = batch.steps.len();
+        let pool_masks = |states: &[u8]| {
+            (0..nf)
+                .map(|i| {
+                    let nc = d.pool.per_feature[i].len();
+                    (nc > 0).then(|| {
+                        let bits: Vec<Vec<bool>> = states
+                            .chunks(t_steps * nf)
+                            .map(|grid| d.pool.bitmap(i, grid, t_steps, nf))
+                            .collect();
+                        CohortMask::from_fn(batch.size, nc, |r, q| bits[r][q])
+                    })
+                })
+                .collect()
+        };
+        self.forward_with(t, ps, batch, record_attention_steps, &kv, pool_masks)
+    }
+
+    /// The model's forward (MFLM, state assignment, CEM and Eq. 14) over
+    /// caller-supplied cohort inputs: `kv` from [`Cem::project_cohorts`] and
+    /// `masks`, which turns the batch's `(batch x (T x F))` state grid into
+    /// each feature's Eq. 10 mask. Both are ignored without discovery.
+    pub fn forward_with<E: Exec>(
+        &self,
+        t: &mut E,
+        ps: &ParamStore,
+        batch: &Batch,
+        record_attention_steps: bool,
+        kv: &[CohortKv<E::V>],
+        masks: impl FnOnce(&[u8]) -> Vec<Option<CohortMask>>,
+    ) -> FullTrace<E::V> {
         let mflm_trace = self.mflm.forward(t, ps, batch, record_attention_steps);
         let Some(d) = &self.discovery else {
             return FullTrace {
-                logits: mflm_trace.logits,
+                logits: mflm_trace.logits.clone(),
                 mflm: mflm_trace,
                 cem: None,
                 states: None,
@@ -118,25 +163,10 @@ impl CohortNetModel {
         };
         // Assign feature states for the batch, then per-feature bitmaps.
         let states = batch_states(t, &mflm_trace, batch, &d.states);
-        let nf = self.mflm.n_features();
-        let t_steps = batch.steps.len();
-        let mut bitmaps: Vec<Vec<bool>> = Vec::with_capacity(nf);
-        for i in 0..nf {
-            let nc = d.pool.per_feature[i].len();
-            let mut bits = vec![false; batch.size * nc];
-            if nc > 0 {
-                for r in 0..batch.size {
-                    let grid = &states[r * t_steps * nf..(r + 1) * t_steps * nf];
-                    let b = d.pool.bitmap(i, grid, t_steps, nf);
-                    bits[r * nc..(r + 1) * nc].copy_from_slice(&b);
-                }
-            }
-            bitmaps.push(bits);
-        }
-        let cem_trace = self
-            .cem
-            .forward(t, ps, &d.pool, &mflm_trace.h_final, &bitmaps, batch.size);
-        let logits = t.add(mflm_trace.logits, cem_trace.logits);
+        let cem_trace =
+            self.cem
+                .forward(t, ps, kv, &mflm_trace.h_final, masks(&states), batch.size);
+        let logits = t.add(&mflm_trace.logits, &cem_trace.logits);
         FullTrace {
             logits,
             mflm: mflm_trace,

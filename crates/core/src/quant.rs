@@ -28,27 +28,27 @@
 
 use crate::infer::{Inferencer, ScoreOutput, ScoreRequest};
 use crate::model::CohortNetModel;
-use cohortnet_tensor::quant::QuantMatrix;
-use cohortnet_tensor::{Matrix, ParamStore};
+use cohortnet_tensor::quant::{QuantMatrix, QuantWeights};
+use cohortnet_tensor::{ParamId, ParamStore};
 use std::fmt::Write as _;
 
 /// The quantization scheme this build writes and understands.
 pub const QUANT_SCHEME: &str = "int8-perchan-v1";
 
-/// Stable (name, weight) enumeration of the quantizable MFLM trunk. Both
+/// Stable (name, weight id) enumeration of the quantizable MFLM trunk. Both
 /// snapshot save and [`Inferencer`] compilation use this one list, so the
 /// names in a stored table always line up with the weights the forward pass
-/// asks for.
-fn trunk_tensors<'a>(model: &'a CohortNetModel, ps: &'a ParamStore) -> Vec<(String, &'a Matrix)> {
+/// multiplies by.
+fn trunk_params(model: &CohortNetModel) -> Vec<(String, ParamId)> {
     let mflm = &model.mflm;
     let (wq, wk, wv) = mflm.fil_projections();
-    let mut out: Vec<(String, &Matrix)> = vec![
-        ("mflm.fil.q".into(), ps.value(wq.weight())),
-        ("mflm.fil.k".into(), ps.value(wk.weight())),
-        ("mflm.fil.v".into(), ps.value(wv.weight())),
-        ("mflm.feafus".into(), ps.value(mflm.feafus().weight())),
-        ("mflm.agg".into(), ps.value(mflm.agg().weight())),
-        ("mflm.head".into(), ps.value(mflm.head().weight())),
+    let mut out: Vec<(String, ParamId)> = vec![
+        ("mflm.fil.q".into(), wq.weight()),
+        ("mflm.fil.k".into(), wk.weight()),
+        ("mflm.fil.v".into(), wv.weight()),
+        ("mflm.feafus".into(), mflm.feafus().weight()),
+        ("mflm.agg".into(), mflm.agg().weight()),
+        ("mflm.head".into(), mflm.head().weight()),
     ];
     for f in 0..mflm.n_features() {
         for (cell, kind) in [(mflm.lgru(f), "lgru"), (mflm.ggru(f), "ggru")] {
@@ -61,7 +61,7 @@ fn trunk_tensors<'a>(model: &'a CohortNetModel, ps: &'a ParamStore) -> Vec<(Stri
                 (p.wh, "wh"),
                 (p.uh, "uh"),
             ] {
-                out.push((format!("mflm.{kind}.{f}.{suffix}"), ps.value(id)));
+                out.push((format!("mflm.{kind}.{f}.{suffix}"), id));
             }
         }
     }
@@ -115,11 +115,26 @@ impl QuantTable {
     /// snapshot predates the quant section.
     pub fn build(model: &CohortNetModel, ps: &ParamStore) -> QuantTable {
         QuantTable {
-            entries: trunk_tensors(model, ps)
+            entries: trunk_params(model)
                 .into_iter()
-                .map(|(name, w)| (name, QuantMatrix::quantize(w)))
+                .map(|(name, id)| (name, QuantMatrix::quantize(ps.value(id))))
                 .collect(),
         }
+    }
+
+    /// The table's tensors as int8 stand-ins for `model`'s trunk weights,
+    /// keyed by weight id for the eager executor. The table is built from
+    /// the same enumeration, so a missing name is a programming error, not
+    /// bad data.
+    pub(crate) fn weights_for(&self, model: &CohortNetModel) -> QuantWeights {
+        let mut weights = QuantWeights::default();
+        for (name, id) in trunk_params(model) {
+            let q = self
+                .get(&name)
+                .unwrap_or_else(|| panic!("quant table is missing trunk tensor {name:?}"));
+            weights.insert(id, q.clone());
+        }
+        weights
     }
 
     /// Looks a tensor up by its stable name.

@@ -8,7 +8,9 @@
 //! over `f32` matrices, so this crate provides exactly that:
 //!
 //! * [`matrix::Matrix`] — dense row-major `f32` matrices;
-//! * [`tape::Tape`] — single-pass reverse-mode autodiff with a compact op set;
+//! * [`exec::Exec`] — the op set model forwards are written against, run by
+//!   the [`tape::Tape`] (single-pass reverse-mode autodiff) or by the
+//!   value-only [`exec::Eager`] executor;
 //! * [`param::ParamStore`] — shared trainable parameter arena;
 //! * [`nn`] — `Linear`, `Mlp`, `GruCell`, `LstmCell` layers;
 //! * [`optim`] — SGD and Adam;
@@ -42,9 +44,9 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod exec;
 pub mod gemm;
 pub mod gradcheck;
-pub mod infer;
 pub mod init;
 pub mod matrix;
 pub mod nn;
@@ -54,6 +56,7 @@ pub mod quant;
 pub mod simd;
 pub mod tape;
 
+pub use exec::{Eager, Exec, Val};
 pub use matrix::Matrix;
 pub use param::{GradBuffer, ParamId, ParamStore};
 pub use tape::{Tape, Var};

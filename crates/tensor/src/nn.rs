@@ -1,14 +1,22 @@
-//! Reusable neural layers built on the autograd [`Tape`].
+//! Reusable neural layers.
 //!
 //! Every layer owns [`ParamId`] handles into a shared [`ParamStore`] and
-//! exposes a `forward`/`step` method that records onto a caller-provided
-//! tape. Layers are therefore cheap to clone-free share across time steps —
-//! weight tying across a sequence falls out naturally.
+//! exposes a `forward`/`step` method that runs on a caller-provided
+//! executor. Layers are therefore cheap to clone-free share across time
+//! steps — weight tying across a sequence falls out naturally.
+//!
+//! [`Linear`] and [`GruCell`] — the layers CohortNet's forward is built
+//! from — are generic over [`Exec`], so one definition runs on the autograd
+//! [`Tape`] and on the value-only [`crate::exec::Eager`] executor. Inputs
+//! are taken as `impl Borrow<E::V>`: tape callers pass [`Var`] handles by
+//! value, eager callers pass references to owned values.
 
+use crate::exec::Exec;
 use crate::init;
 use crate::param::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use rand::rngs::StdRng;
+use std::borrow::Borrow;
 
 /// Fully connected layer `y = x W + b`.
 #[derive(Debug, Clone)]
@@ -66,14 +74,14 @@ impl Linear {
         }
     }
 
-    /// Applies the layer to a `(batch x in_dim)` node.
-    pub fn forward(&self, t: &mut Tape, ps: &ParamStore, x: Var) -> Var {
-        let w = t.param(ps, self.w);
-        let xw = t.matmul(x, w);
+    /// Applies the layer to a `(batch x in_dim)` value.
+    pub fn forward<E: Exec>(&self, e: &mut E, ps: &ParamStore, x: impl Borrow<E::V>) -> E::V {
+        let w = e.param(ps, self.w);
+        let xw = e.matmul(x.borrow(), &w);
         match self.b {
             Some(b) => {
-                let b = t.param(ps, b);
-                t.add_row_broadcast(xw, b)
+                let b = e.param(ps, b);
+                e.add_row_broadcast(&xw, &b)
             }
             None => xw,
         }
@@ -192,9 +200,9 @@ pub struct GruCell {
     pub hidden_dim: usize,
 }
 
-/// The nine parameter handles of a [`GruCell`], in gate order. Exposed for
-/// gradient-free inference mirrors that read weights straight from the
-/// [`ParamStore`] without recording a tape (see `cohortnet::infer`).
+/// The nine parameter handles of a [`GruCell`], in gate order. Exposed so
+/// callers can enumerate a cell's weights by id (e.g. to build int8
+/// stand-ins for them, see [`crate::quant::QuantWeights`]).
 #[derive(Debug, Clone, Copy)]
 pub struct GruParams {
     /// Update-gate input weights `Wz`.
@@ -275,35 +283,42 @@ impl GruCell {
     }
 
     /// Creates the initial zero hidden state for a batch.
-    pub fn init_state(&self, t: &mut Tape, batch: usize) -> Var {
-        t.constant(crate::matrix::Matrix::zeros(batch, self.hidden_dim))
+    pub fn init_state<E: Exec>(&self, e: &mut E, batch: usize) -> E::V {
+        e.constant(crate::matrix::Matrix::zeros(batch, self.hidden_dim))
     }
 
     /// One recurrent step: `(x: batch x in_dim, h: batch x hidden) -> h'`.
     ///
-    /// Each gate is one fused node (`σ/tanh(xW + hU + b)`) and the state
+    /// Each gate is one fused op (`σ/tanh(xW + hU + b)`) and the state
     /// update is the fused blend `(1-z)⊙h + z⊙h̃`.
-    pub fn step(&self, t: &mut Tape, ps: &ParamStore, x: Var, h: Var) -> Var {
-        let pre = |t: &mut Tape, w: ParamId, u: ParamId, hh: Var| {
-            let wv = t.param(ps, w);
-            let uv = t.param(ps, u);
-            let xw = t.matmul(x, wv);
-            let hu = t.matmul(hh, uv);
+    pub fn step<E: Exec>(
+        &self,
+        e: &mut E,
+        ps: &ParamStore,
+        x: impl Borrow<E::V>,
+        h: impl Borrow<E::V>,
+    ) -> E::V {
+        let (x, h) = (x.borrow(), h.borrow());
+        let pre = |e: &mut E, w: ParamId, u: ParamId, hh: &E::V| {
+            let wv = e.param(ps, w);
+            let uv = e.param(ps, u);
+            let xw = e.matmul(x, &wv);
+            let hu = e.matmul(hh, &uv);
             (xw, hu)
         };
-        let (zxw, zhu) = pre(t, self.wz, self.uz, h);
-        let bz = t.param(ps, self.bz);
-        let z = t.gate_sigmoid(zxw, zhu, bz);
-        let (rxw, rhu) = pre(t, self.wr, self.ur, h);
-        let br = t.param(ps, self.br);
-        let r = t.gate_sigmoid(rxw, rhu, br);
-        let rh = t.mul(r, h);
+        let (zxw, zhu) = pre(e, self.wz, self.uz, h);
+        let bz = e.param(ps, self.bz);
+        let z = e.gate_sigmoid(&zxw, &zhu, &bz);
+        let (rxw, rhu) = pre(e, self.wr, self.ur, h);
+        let br = e.param(ps, self.br);
+        let r = e.gate_sigmoid(&rxw, &rhu, &br);
+        let rh = e.mul(&r, h);
         // Note: the candidate path must not add `h Uh` twice — the recurrent
         // matmul below already uses `rh` as its input.
-        let (cxw, chu) = pre(t, self.wh, self.uh, rh);
-        let bh = t.param(ps, self.bh);
-        let cand = t.gate_tanh(cxw, chu, bh);
-        t.gru_blend(z, h, cand)
+        let (cxw, chu) = pre(e, self.wh, self.uh, &rh);
+        let bh = e.param(ps, self.bh);
+        let cand = e.gate_tanh(&cxw, &chu, &bh);
+        e.gru_blend(&z, h, &cand)
     }
 
     /// Unrolls the cell over a sequence of inputs, returning all hidden

@@ -31,6 +31,7 @@
 //! runtime quantization share this one definition.
 
 use crate::matrix::Matrix;
+use crate::param::ParamId;
 use crate::simd::{self, Backend};
 
 /// An `i8`-packed weight matrix with per-output-channel scales, laid out for
@@ -41,6 +42,30 @@ pub struct QuantMatrix {
     n: usize,
     data: Vec<i8>,
     scales: Vec<f32>,
+}
+
+/// Int8 stand-ins for some of a [`crate::ParamStore`]'s weights, keyed by
+/// [`ParamId`]. The eager executor ([`crate::exec::Eager::quantized`]) runs
+/// `x · W` through [`qgemm`] for every weight found here and through the f32
+/// GEMM for the rest — quantization is a weight lookup, not a second forward.
+#[derive(Debug, Clone, Default)]
+pub struct QuantWeights {
+    by_id: Vec<Option<QuantMatrix>>,
+}
+
+impl QuantWeights {
+    /// Registers `q` as the int8 stand-in of weight `id`.
+    pub fn insert(&mut self, id: ParamId, q: QuantMatrix) {
+        if self.by_id.len() <= id.0 {
+            self.by_id.resize(id.0 + 1, None);
+        }
+        self.by_id[id.0] = Some(q);
+    }
+
+    /// The int8 stand-in of weight `id`, if one is registered.
+    pub fn get(&self, id: ParamId) -> Option<&QuantMatrix> {
+        self.by_id.get(id.0).and_then(Option::as_ref)
+    }
 }
 
 /// Quantizes one f32 slice to `i8` at `absmax/127` scale, returning the

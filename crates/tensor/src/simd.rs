@@ -413,7 +413,7 @@ unsafe fn sse2_tile(k_dim: usize, a_tile: &[f32], b_panel: &[f32], buf: &mut [f3
 }
 
 // ---------------------------------------------------------------------------
-// Fused-gate slice kernels (used by `crate::infer`)
+// Fused-gate slice kernels (used by `crate::exec::kernel`)
 // ---------------------------------------------------------------------------
 
 /// `dst[i] = (a[i] + b[i]) + c[i]` — the pre-activation sum of the fused

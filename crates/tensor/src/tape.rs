@@ -19,17 +19,10 @@
 //! traffic from the tape — the dominant cost of the small per-feature models
 //! this workspace trains (thousands of tiny nodes per batch).
 
+use crate::exec::kernel::{self, GateKind};
+use crate::exec::Exec;
 use crate::matrix::Matrix;
 use crate::param::{ParamId, ParamStore};
-
-/// Which activation a fused gate applies (see [`Tape::gate_sigmoid`] /
-/// [`Tape::gate_tanh`]). Both derivatives are computable from the output
-/// value alone, which is what makes the fusion cheap in backward too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GateKind {
-    Sigmoid,
-    Tanh,
-}
 
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,45 +183,22 @@ impl Tape {
 
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let (m, n) = (self.nodes[a.0].value.rows(), self.nodes[b.0].value.cols());
-        let mut out = self.alloc_zero(m, n);
-        crate::gemm::gemm_into(
-            false,
-            false,
-            &self.nodes[a.0].value,
-            &self.nodes[b.0].value,
-            &mut out,
-            true,
-        );
-        self.push(out, Op::MatMul(a, b))
+        let buf = self.grab();
+        let v = kernel::matmul(buf, self.value(a), self.value(b));
+        self.push(v, Op::MatMul(a, b))
     }
 
     /// Element-wise sum of equally shaped nodes.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let mut buf = self.grab();
-        let (am, bm) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(am.shape(), bm.shape(), "add shape mismatch");
-        buf.extend(
-            am.as_slice()
-                .iter()
-                .zip(bm.as_slice())
-                .map(|(&x, &y)| x + y),
-        );
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernel::add(buf, self.value(a), self.value(b));
         self.push(v, Op::Add(a, b))
     }
 
     /// `(r x c) + (1 x c)`: adds a row vector (bias) to every row.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let mut buf = self.grab();
-        let (am, bm) = (&self.nodes[a.0].value, &self.nodes[bias.0].value);
-        assert_eq!(bm.rows(), 1, "bias must be a row vector");
-        assert_eq!(am.cols(), bm.cols(), "bias width mismatch");
-        let bias_row = bm.row(0);
-        for r in 0..am.rows() {
-            buf.extend(am.row(r).iter().zip(bias_row).map(|(&x, &b)| x + b));
-        }
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernel::add_row_broadcast(buf, self.value(a), self.value(bias));
         self.push(v, Op::AddRowBroadcast(a, bias))
     }
 
@@ -249,40 +219,23 @@ impl Tape {
 
     /// Element-wise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let mut buf = self.grab();
-        let (am, bm) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(am.shape(), bm.shape(), "mul shape mismatch");
-        buf.extend(
-            am.as_slice()
-                .iter()
-                .zip(bm.as_slice())
-                .map(|(&x, &y)| x * y),
-        );
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernel::mul(buf, self.value(a), self.value(b));
         self.push(v, Op::Mul(a, b))
     }
 
     /// `(r x c) * (r x 1)`: scales each row of `a` by the matching entry of
     /// the column vector `w` (e.g. per-sample attention weights).
     pub fn mul_col_broadcast(&mut self, a: Var, w: Var) -> Var {
-        let mut buf = self.grab();
-        let (am, wm) = (&self.nodes[a.0].value, &self.nodes[w.0].value);
-        assert_eq!(wm.cols(), 1, "weight must be a column vector");
-        assert_eq!(am.rows(), wm.rows(), "weight height mismatch");
-        for r in 0..am.rows() {
-            let s = wm[(r, 0)];
-            buf.extend(am.row(r).iter().map(|&x| x * s));
-        }
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernel::mul_col_broadcast(buf, self.value(a), self.value(w));
         self.push(v, Op::MulColBroadcast(a, w))
     }
 
     /// Multiplication by a compile-time scalar.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let mut buf = self.grab();
-        let am = &self.nodes[a.0].value;
-        buf.extend(am.as_slice().iter().map(|&x| x * s));
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernel::scale(buf, self.value(a), s);
         self.push(v, Op::Scale(a, s))
     }
 
@@ -309,19 +262,15 @@ impl Tape {
 
     /// Element-wise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let mut buf = self.grab();
-        let am = &self.nodes[a.0].value;
-        buf.extend(am.as_slice().iter().map(|&x| 1.0 / (1.0 + (-x).exp())));
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernel::sigmoid(buf, self.value(a));
         self.push(v, Op::Sigmoid(a))
     }
 
     /// Element-wise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let mut buf = self.grab();
-        let am = &self.nodes[a.0].value;
-        buf.extend(am.as_slice().iter().map(|&x| x.tanh()));
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernel::tanh(buf, self.value(a));
         self.push(v, Op::Tanh(a))
     }
 
@@ -350,28 +299,8 @@ impl Tape {
     }
 
     fn gate_act(&mut self, a: Var, b: Var, bias: Var, kind: GateKind) -> Var {
-        let mut buf = self.grab();
-        let (am, bm, biasm) = (
-            &self.nodes[a.0].value,
-            &self.nodes[b.0].value,
-            &self.nodes[bias.0].value,
-        );
-        assert_eq!(am.shape(), bm.shape(), "gate operand shape mismatch");
-        assert_eq!(biasm.rows(), 1, "gate bias must be a row vector");
-        assert_eq!(biasm.cols(), am.cols(), "gate bias width mismatch");
-        let bias_row = biasm.row(0);
-        for r in 0..am.rows() {
-            let pre = am.row(r).iter().zip(bm.row(r)).zip(bias_row);
-            match kind {
-                GateKind::Sigmoid => {
-                    buf.extend(pre.map(|((&x, &y), &c)| 1.0 / (1.0 + (-(x + y + c)).exp())));
-                }
-                GateKind::Tanh => {
-                    buf.extend(pre.map(|((&x, &y), &c)| (x + y + c).tanh()));
-                }
-            }
-        }
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernel::gate(buf, self.value(a), self.value(b), self.value(bias), kind);
         self.push(v, Op::GateAct(a, b, bias, kind))
     }
 
@@ -380,22 +309,8 @@ impl Tape {
     /// Replaces the `one_minus` / `mul` / `mul` / `add` five-node chain at
     /// the end of every GRU step.
     pub fn gru_blend(&mut self, z: Var, h: Var, cand: Var) -> Var {
-        let mut buf = self.grab();
-        let (zm, hm, cm) = (
-            &self.nodes[z.0].value,
-            &self.nodes[h.0].value,
-            &self.nodes[cand.0].value,
-        );
-        assert_eq!(zm.shape(), hm.shape(), "blend shape mismatch");
-        assert_eq!(zm.shape(), cm.shape(), "blend shape mismatch");
-        buf.extend(
-            zm.as_slice()
-                .iter()
-                .zip(hm.as_slice())
-                .zip(cm.as_slice())
-                .map(|((&zi, &hi), &ci)| (1.0 - zi) * hi + zi * ci),
-        );
-        let v = Matrix::from_vec(zm.rows(), zm.cols(), buf);
+        let buf = self.grab();
+        let v = kernel::gru_blend(buf, self.value(z), self.value(h), self.value(cand));
         self.push(v, Op::GruBlend(z, h, cand))
     }
 
@@ -804,6 +719,89 @@ impl Tape {
                 buf.accumulate(*id, g);
             }
         }
+    }
+}
+
+/// The recording executor: every op becomes a graph node, so the forward it
+/// runs can be differentiated with [`Tape::backward`].
+impl Exec for Tape {
+    type V = Var;
+
+    fn value<'s>(&'s self, v: &'s Var) -> &'s Matrix {
+        Tape::value(self, *v)
+    }
+
+    fn constant(&mut self, value: Matrix) -> Var {
+        Tape::constant(self, value)
+    }
+
+    fn param(&mut self, ps: &ParamStore, id: ParamId) -> Var {
+        Tape::param(self, ps, id)
+    }
+
+    fn matmul(&mut self, a: &Var, b: &Var) -> Var {
+        Tape::matmul(self, *a, *b)
+    }
+
+    fn add(&mut self, a: &Var, b: &Var) -> Var {
+        Tape::add(self, *a, *b)
+    }
+
+    fn add_row_broadcast(&mut self, a: &Var, bias: &Var) -> Var {
+        Tape::add_row_broadcast(self, *a, *bias)
+    }
+
+    fn mul(&mut self, a: &Var, b: &Var) -> Var {
+        Tape::mul(self, *a, *b)
+    }
+
+    fn mul_col_broadcast(&mut self, a: &Var, w: &Var) -> Var {
+        Tape::mul_col_broadcast(self, *a, *w)
+    }
+
+    fn scale(&mut self, a: &Var, s: f32) -> Var {
+        Tape::scale(self, *a, s)
+    }
+
+    fn transpose(&mut self, a: &Var) -> Var {
+        Tape::transpose(self, *a)
+    }
+
+    fn sigmoid(&mut self, a: &Var) -> Var {
+        Tape::sigmoid(self, *a)
+    }
+
+    fn tanh(&mut self, a: &Var) -> Var {
+        Tape::tanh(self, *a)
+    }
+
+    fn gate_sigmoid(&mut self, a: &Var, b: &Var, bias: &Var) -> Var {
+        Tape::gate_sigmoid(self, *a, *b, *bias)
+    }
+
+    fn gate_tanh(&mut self, a: &Var, b: &Var, bias: &Var) -> Var {
+        Tape::gate_tanh(self, *a, *b, *bias)
+    }
+
+    fn gru_blend(&mut self, z: &Var, h: &Var, cand: &Var) -> Var {
+        Tape::gru_blend(self, *z, *h, *cand)
+    }
+
+    fn softmax_rows(&mut self, a: &Var) -> Var {
+        Tape::softmax_rows(self, *a)
+    }
+
+    fn sum_cols(&mut self, a: &Var) -> Var {
+        Tape::sum_cols(self, *a)
+    }
+
+    fn concat_cols(&mut self, parts: &[&Var]) -> Var {
+        let parts: Vec<Var> = parts.iter().map(|&&v| v).collect();
+        Tape::concat_cols(self, &parts)
+    }
+
+    fn slice_cols(&mut self, a: &Var, start: usize, end: usize) -> Var {
+        Tape::slice_cols(self, *a, start, end)
     }
 }
 
