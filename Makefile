@@ -19,9 +19,12 @@ test:
 
 ## The tensor suite with SIMD forced off — proves the scalar fallback and
 ## the env override path on hosts where detection would pick AVX2 (the
-## cross-backend bit-identity tests cover the other direction).
+## cross-backend bit-identity tests cover the other direction) — plus the
+## end-to-end forward pins, which judge the fused eager kernels on the
+## scalar backend too.
 test-scalar:
 	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet-tensor
+	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet --test forward_pins --test infer_identity --test quant_snapshot
 
 clippy:
 	$(CARGO) clippy --all-targets -- -D warnings

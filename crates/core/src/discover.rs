@@ -12,8 +12,10 @@
 //! * **mine + represent** — pattern mining and cohort-pool construction
 //!   (Eq. 9 with credibility filters).
 //!
-//! Every stage is timed individually because Figures 12 and 13 report the
-//! per-step scaling behaviour.
+//! Both passes only read forward values, so they run the MFLM on the
+//! value-only [`Eager`] executor: no graph is recorded, and the values are
+//! bit-identical to a taped forward. Every stage is timed individually
+//! because Figures 12 and 13 report the per-step scaling behaviour.
 
 use crate::cdm::{build_masks, mine_patterns_threads, FeatureStates, StateSampler};
 use crate::config::CohortNetConfig;
@@ -21,7 +23,7 @@ use crate::crlm::CohortPool;
 use crate::mflm::{Mflm, MflmTrace};
 use cohortnet_models::data::{make_batch, Batch, Prepared};
 use cohortnet_obs::{obs_debug, obs_info};
-use cohortnet_tensor::{Exec, Matrix, ParamStore, Tape};
+use cohortnet_tensor::{Eager, Exec, Matrix, ParamStore};
 use rand::rngs::StdRng;
 use std::time::Instant;
 
@@ -155,19 +157,19 @@ pub struct Discovery {
 /// row-major `(batch x (T x F))` — per patient, `T*F` states.
 pub fn batch_states<E: Exec>(
     exec: &E,
-    trace: &MflmTrace<E::V>,
+    trace: &MflmTrace<E::V, E::G>,
     batch: &Batch,
     fs: &FeatureStates,
 ) -> Vec<u8> {
     let t_steps = trace.o.len();
-    let nf = trace.o.first().map_or(0, Vec::len);
+    let nf = batch.mask.cols();
     let mut out = vec![0u8; batch.size * t_steps * nf];
     for (t, o_step) in trace.o.iter().enumerate() {
-        for (f, o) in o_step.iter().enumerate() {
-            let values = exec.value(o);
+        for f in 0..nf {
             for r in 0..batch.size {
                 let present = batch.mask[(r, f)] > 0.5;
-                out[r * t_steps * nf + t * nf + f] = fs.assign(f, values.row(r), present);
+                let o = exec.block_row(o_step, f, r);
+                out[r * t_steps * nf + t * nf + f] = fs.assign(f, o, present);
             }
         }
     }
@@ -249,19 +251,17 @@ pub fn discover_with_algo(
     let mut attn_sum = Matrix::zeros(nf, nf);
     let mut attn_count = 0usize;
     let harvests = cohortnet_parallel::par_chunks(threads, &indices, task_rows, |_, task| {
-        let mut tape = Tape::new();
+        let mut e = Eager::new(ps);
         task.chunks(infer_batch)
             .map(|chunk| {
                 let batch = make_batch(prep, chunk);
-                tape.reset();
-                let trace = mflm.forward(&mut tape, ps, &batch, false);
+                let trace = mflm.forward(&mut e, ps, &batch, false);
                 let mut offers = Vec::new();
                 for o_step in &trace.o {
-                    for (f, &o) in o_step.iter().enumerate() {
-                        let values = tape.value(o);
+                    for f in 0..nf {
                         for r in 0..batch.size {
                             if batch.mask[(r, f)] > 0.5 {
-                                offers.push((f, values.row(r).to_vec()));
+                                offers.push((f, e.block_row(o_step, f, r).to_vec()));
                             }
                         }
                     }
@@ -311,23 +311,21 @@ pub fn discover_with_algo(
     let mut h_final_all = Matrix::zeros(n_patients, nf * cfg.d_hidden);
     let states_ref = &states;
     let harvests = cohortnet_parallel::par_chunks(threads, &indices, task_rows, |_, task| {
-        let mut tape = Tape::new();
+        let mut e = Eager::new(ps);
         task.chunks(infer_batch)
             .map(|chunk| {
                 let batch = make_batch(prep, chunk);
-                tape.reset();
-                let trace = mflm.forward(&mut tape, ps, &batch, false);
-                let bs = batch_states(&tape, &trace, &batch, states_ref);
+                let trace = mflm.forward(&mut e, ps, &batch, false);
+                let bs = batch_states(&e, &trace, &batch, states_ref);
                 let rows = chunk
                     .iter()
                     .enumerate()
                     .map(|(r, &p)| {
                         let grid = bs[r * t_steps * nf..(r + 1) * t_steps * nf].to_vec();
                         let mut h_row = vec![0.0f32; nf * cfg.d_hidden];
-                        for (f, &h) in trace.h_final.iter().enumerate() {
-                            let hv = tape.value(h);
+                        for f in 0..nf {
                             h_row[f * cfg.d_hidden..(f + 1) * cfg.d_hidden]
-                                .copy_from_slice(hv.row(r));
+                                .copy_from_slice(e.block_row(&trace.h_final, f, r));
                         }
                         (p, grid, h_row)
                     })
@@ -380,6 +378,7 @@ mod tests {
     use super::*;
     use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
     use cohortnet_models::data::prepare;
+    use cohortnet_tensor::Tape;
     use rand::SeedableRng;
 
     fn setup() -> (CohortNetConfig, Prepared) {

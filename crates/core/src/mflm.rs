@@ -13,30 +13,24 @@
 //! `α_ij = softmax_j((W_q e_i)·(W_k e_j))`, `u_i = Σ_j α_ij (W_v e_j)` —
 //! see DESIGN.md §1.
 //!
-//! The forward is written once against [`Exec`]: training, discovery and
-//! interpretation record it on a [`cohortnet_tensor::Tape`], serving runs
-//! it on the value-only [`cohortnet_tensor::Eager`] executor.
+//! The forward is written once against [`Exec`]: training and
+//! interpretation record it on a [`cohortnet_tensor::Tape`], serving and
+//! discovery run it on the value-only [`cohortnet_tensor::Eager`] executor.
+//! Each time step's per-feature work is a handful of grouped ops over all
+//! `F` channels (see [`cohortnet_tensor::exec`]): the tape records them as
+//! the per-feature loops, the eager executor runs each as one fused kernel.
 
 use crate::config::CohortNetConfig;
 use cohortnet_models::data::Batch;
-use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::{Exec, Matrix, ParamId, ParamStore, Var};
+use cohortnet_tensor::exec::Act;
+use cohortnet_tensor::nn::{Biel, GruCell, Linear};
+use cohortnet_tensor::{Exec, Matrix, ParamStore, Var};
 use rand::rngs::StdRng;
-
-/// Per-feature BiEL embedding parameters.
-#[derive(Debug, Clone)]
-struct BielChannel {
-    v_a: ParamId,
-    v_b: ParamId,
-    v_m: ParamId,
-    bound_lo: f32,
-    bound_hi: f32,
-}
 
 /// The Multi-channel Feature Learning Module.
 #[derive(Debug, Clone)]
 pub struct Mflm {
-    biel: Vec<BielChannel>,
+    biel: Vec<Biel>,
     wq: Linear,
     wk: Linear,
     wv: Linear,
@@ -60,18 +54,21 @@ pub struct Mflm {
 }
 
 /// Everything a forward pass exposes to the rest of the pipeline. `V` is the
-/// executor's value type ([`Var`] on a tape).
-pub struct MflmTrace<V = Var> {
+/// executor's value type and `G` its group of per-feature values ([`Var`]
+/// and `Vec<Var>` on a tape; see [`Exec::G`]).
+pub struct MflmTrace<V = Var, G = Vec<V>> {
     /// Prediction logits from `h̃` alone (`w^p · h̃ + b^p` of Eq. 14).
     pub logits: V,
     /// Patient-level representation `h̃` (`batch x F*d_agg`).
     pub tilde_h: V,
-    /// Fused feature representations `o[t][f]` (`batch x d_o` each) — the
-    /// vectors the Cohort Discovery Module clusters into states.
-    pub o: Vec<Vec<V>>,
-    /// Final channel representations `h_i^T` (`batch x d_h` each) — used by
-    /// cohort representation learning (Eq. 9) and CEM queries (Eq. 11).
-    pub h_final: Vec<V>,
+    /// Fused feature representations, one group per time step: block `f`
+    /// of `o[t]` is `o[t][f]` (`batch x d_o`) — the vectors the Cohort
+    /// Discovery Module clusters into states.
+    pub o: Vec<G>,
+    /// Final channel representations: block `i` is `h_i^T` (`batch x d_h`)
+    /// — used by cohort representation learning (Eq. 9) and CEM queries
+    /// (Eq. 11).
+    pub h_final: G,
     /// Attention mass `Σ α_i[j]` accumulated over the batch and all time
     /// steps (`F x F`, row = query feature). Divide by `attn_count` for the
     /// mean — CDM's pattern mask (Eq. 8) ranks features by this.
@@ -93,23 +90,13 @@ impl Mflm {
         );
         let biel = (0..nf)
             .map(|f| {
-                let (a, b) = cfg.bounds[f];
-                BielChannel {
-                    v_a: ps.register(
-                        format!("mflm.biel{f}.a"),
-                        cohortnet_tensor::init::uniform(rng, 1, cfg.d_embed, 0.3),
-                    ),
-                    v_b: ps.register(
-                        format!("mflm.biel{f}.b"),
-                        cohortnet_tensor::init::uniform(rng, 1, cfg.d_embed, 0.3),
-                    ),
-                    v_m: ps.register(
-                        format!("mflm.biel{f}.m"),
-                        cohortnet_tensor::init::uniform(rng, 1, cfg.d_embed, 0.3),
-                    ),
-                    bound_lo: a,
-                    bound_hi: b,
-                }
+                Biel::new(
+                    ps,
+                    rng,
+                    &format!("mflm.biel{f}"),
+                    cfg.d_embed,
+                    cfg.bounds[f],
+                )
             })
             .collect();
         let lgru = (0..nf)
@@ -179,86 +166,16 @@ impl Mflm {
         &self.agg
     }
 
-    /// BiEL embeddings for all features at one time step.
-    fn embed_step<E: Exec>(
-        &self,
-        t: &mut E,
-        ps: &ParamStore,
-        step: &Matrix,
-        mask: &Matrix,
-    ) -> Vec<E::V> {
-        let batch = step.rows();
-        (0..self.biel.len())
-            .map(|f| {
-                let ch = &self.biel[f];
-                let range = (ch.bound_hi - ch.bound_lo).max(1e-4);
-                // Interpolation weights are pure data — no gradient flows
-                // through the raw values, matching Eq. 1.
-                let mut w_a = Matrix::zeros(batch, 1);
-                let mut w_b = Matrix::zeros(batch, 1);
-                let mut m_on = Matrix::zeros(batch, 1);
-                let mut m_off = Matrix::zeros(batch, 1);
-                for r in 0..batch {
-                    let x = step[(r, f)].clamp(ch.bound_lo, ch.bound_hi);
-                    w_a[(r, 0)] = (x - ch.bound_lo) / range;
-                    w_b[(r, 0)] = (ch.bound_hi - x) / range;
-                    let present = mask[(r, f)] > 0.5;
-                    m_on[(r, 0)] = f32::from(present);
-                    m_off[(r, 0)] = f32::from(!present);
-                }
-                let wa = t.constant(w_a);
-                let wb = t.constant(w_b);
-                let mon = t.constant(m_on);
-                let moff = t.constant(m_off);
-                let va = t.param(ps, ch.v_a);
-                let vb = t.param(ps, ch.v_b);
-                let vm = t.param(ps, ch.v_m);
-                let ea = t.matmul(&wa, &va);
-                let eb = t.matmul(&wb, &vb);
-                let e_present = t.add(&ea, &eb);
-                let e_masked = t.mul_col_broadcast(&e_present, &mon);
-                let em = t.matmul(&moff, &vm);
-                t.add(&e_masked, &em)
-            })
-            .collect()
-    }
-
-    /// FIL at one time step: returns `(u_i, α_i)` per feature, where `α_i`
-    /// is the `(batch x F)` attention row of feature `i`.
-    fn interact_step<E: Exec>(
-        &self,
-        t: &mut E,
-        ps: &ParamStore,
-        es: &[E::V],
-    ) -> (Vec<E::V>, Vec<E::V>) {
-        let nf = es.len();
+    /// FIL at one time step over the embeddings `es`: returns the
+    /// interaction vectors `u_i` and the attention rows `α_i` (`batch x F`)
+    /// as groups (block `i` = feature `i`).
+    fn interact_step<E: Exec>(&self, t: &mut E, ps: &ParamStore, es: &E::G) -> (E::G, E::G) {
         let scale = 1.0 / (self.d_embed as f32).sqrt();
-        let qs: Vec<E::V> = es.iter().map(|e| self.wq.forward(t, ps, e)).collect();
-        let ks: Vec<E::V> = es.iter().map(|e| self.wk.forward(t, ps, e)).collect();
-        let vs: Vec<E::V> = es.iter().map(|e| self.wv.forward(t, ps, e)).collect();
-        let mut us = Vec::with_capacity(nf);
-        let mut alphas = Vec::with_capacity(nf);
-        for i in 0..nf {
-            let mut scores = Vec::with_capacity(nf);
-            for j in 0..nf {
-                let qk = t.mul(&qs[i], &ks[j]);
-                let s = t.sum_cols(&qk);
-                scores.push(t.scale(&s, scale));
-            }
-            let mat = t.concat_cols(&scores.iter().collect::<Vec<_>>());
-            let alpha = t.softmax_rows(&mat);
-            let mut u: Option<E::V> = None;
-            for (j, v) in vs.iter().enumerate() {
-                let a_j = t.slice_cols(&alpha, j, j + 1);
-                let w = t.mul_col_broadcast(v, &a_j);
-                u = Some(match u {
-                    Some(acc) => t.add(&acc, &w),
-                    None => w,
-                });
-            }
-            us.push(u.unwrap());
-            alphas.push(alpha);
-        }
+        let qs = t.linear_blocks(ps, &self.wq, es, Act::Identity);
+        let ks = t.linear_blocks(ps, &self.wk, es, Act::Identity);
+        let vs = t.linear_blocks(ps, &self.wv, es, Act::Identity);
+        let alphas = t.pair_attention(&qs, &ks, scale);
+        let us = t.attention_sum(&alphas, &vs);
         (us, alphas)
     }
 
@@ -273,20 +190,16 @@ impl Mflm {
         ps: &ParamStore,
         batch: &Batch,
         record_attention_steps: bool,
-    ) -> MflmTrace<E::V> {
+    ) -> MflmTrace<E::V, E::G> {
         let nf = self.n_features();
         let steps = batch.steps.len();
-        let mut lstate: Vec<E::V> = self
-            .lgru
-            .iter()
-            .map(|c| c.init_state(t, batch.size))
-            .collect();
-        let mut gstate: Vec<E::V> = self
-            .ggru
-            .iter()
-            .map(|c| c.init_state(t, batch.size))
-            .collect();
-        let mut o_all: Vec<Vec<E::V>> = Vec::with_capacity(steps);
+        let states = |t: &mut E, cells: &[GruCell]| {
+            let zeros = cells.iter().map(|c| c.init_state(t, batch.size)).collect();
+            t.group(zeros)
+        };
+        let mut lstate = states(t, &self.lgru);
+        let mut gstate = states(t, &self.ggru);
+        let mut o_all: Vec<E::G> = Vec::with_capacity(steps);
         let mut attn_sum = Matrix::zeros(nf, nf);
         let mut attn_count = 0usize;
         let mut attn_per_step = if record_attention_steps {
@@ -296,22 +209,22 @@ impl Mflm {
         };
 
         for step_idx in 0..steps {
-            let es = self.embed_step(t, ps, &batch.steps[step_idx], &batch.mask);
+            let es = t.biel_blocks(ps, &self.biel, &batch.steps[step_idx], &batch.mask);
             let (us, alphas) = if self.use_interactions {
                 self.interact_step(t, ps, &es)
             } else {
                 // Ablation: zero interaction vectors, uniform attention.
                 let zero = t.constant(Matrix::zeros(batch.size, self.d_embed));
                 let uniform = t.constant(Matrix::full(batch.size, nf, 1.0 / nf as f32));
-                (vec![zero; nf], vec![uniform; nf])
+                (t.group(vec![zero; nf]), t.group(vec![uniform; nf]))
             };
             // Accumulate attention mass for CDM's pattern mask.
             let mut step_attn = Matrix::zeros(nf, nf);
-            for (i, a) in alphas.iter().enumerate() {
-                let av = t.value(a);
-                for r in 0..av.rows() {
+            for i in 0..nf {
+                for r in 0..batch.size {
+                    let alpha = t.block_row(&alphas, i, r);
                     for j in 0..nf {
-                        step_attn[(i, j)] += av[(r, j)];
+                        step_attn[(i, j)] += alpha[j];
                     }
                 }
             }
@@ -321,37 +234,24 @@ impl Mflm {
                 rec.push(step_attn.scale(1.0 / batch.size as f32));
             }
             // Trend, fusion, global channel update.
-            let mut o_step = Vec::with_capacity(nf);
-            let zero_trend = if self.use_trends {
-                None
+            let zero_trend;
+            let trend = if self.use_trends {
+                lstate = t.gru_blocks(ps, &self.lgru, &es, &lstate);
+                &lstate
             } else {
-                Some(t.constant(Matrix::zeros(batch.size, self.d_trend)))
+                let zero = t.constant(Matrix::zeros(batch.size, self.d_trend));
+                zero_trend = t.group(vec![zero; nf]);
+                &zero_trend
             };
-            for f in 0..nf {
-                let trend = match &zero_trend {
-                    Some(z) => z,
-                    None => {
-                        lstate[f] = self.lgru[f].step(t, ps, &es[f], &lstate[f]);
-                        &lstate[f]
-                    }
-                };
-                let joined = t.concat_cols(&[&es[f], &us[f], trend]);
-                let fused_pre = self.feafus.forward(t, ps, joined);
-                let o = t.tanh(&fused_pre);
-                gstate[f] = self.ggru[f].step(t, ps, &o, &gstate[f]);
-                o_step.push(o);
-            }
-            o_all.push(o_step);
+            let joined = t.concat_blocks(&[&es, &us, trend]);
+            let o = t.linear_blocks(ps, &self.feafus, &joined, Act::Tanh);
+            gstate = t.gru_blocks(ps, &self.ggru, &o, &gstate);
+            o_all.push(o);
         }
 
         // FeaAgg: compress each final channel state and concatenate.
-        let compressed: Vec<E::V> = gstate
-            .iter()
-            .map(|g| {
-                let c_pre = self.agg.forward(t, ps, g);
-                t.tanh(&c_pre)
-            })
-            .collect();
+        let compressed = t.linear_blocks(ps, &self.agg, &gstate, Act::Tanh);
+        let compressed = t.ungroup(&compressed);
         let tilde_h = t.concat_cols(&compressed.iter().collect::<Vec<_>>());
         let logits = self.head.forward(t, ps, &tilde_h);
 

@@ -33,13 +33,13 @@ pub struct CohortNetModel {
     label: &'static str,
 }
 
-/// Full forward trace for interpretation. `V` is the executor's value type
-/// ([`Var`] on a tape).
-pub struct FullTrace<V = Var> {
+/// Full forward trace for interpretation. `V` and `G` are the executor's
+/// value and group types ([`Var`] and `Vec<Var>` on a tape).
+pub struct FullTrace<V = Var, G = Vec<V>> {
     /// Combined logits (Eq. 14).
     pub logits: V,
     /// MFLM trace (individual-data path).
-    pub mflm: MflmTrace<V>,
+    pub mflm: MflmTrace<V, G>,
     /// CEM trace, when cohorts are active.
     pub cem: Option<CemTrace<V>>,
     /// Per-patient state grids `(batch x (T x F))`, when cohorts are active.
@@ -115,7 +115,7 @@ impl CohortNetModel {
         ps: &ParamStore,
         batch: &Batch,
         record_attention_steps: bool,
-    ) -> FullTrace<E::V> {
+    ) -> FullTrace<E::V, E::G> {
         let Some(d) = &self.discovery else {
             return self.forward_with(t, ps, batch, record_attention_steps, &[], |_| Vec::new());
         };
@@ -151,7 +151,7 @@ impl CohortNetModel {
         record_attention_steps: bool,
         kv: &[CohortKv<E::V>],
         masks: impl FnOnce(&[u8]) -> Vec<Option<CohortMask>>,
-    ) -> FullTrace<E::V> {
+    ) -> FullTrace<E::V, E::G> {
         let mflm_trace = self.mflm.forward(t, ps, batch, record_attention_steps);
         let Some(d) = &self.discovery else {
             return FullTrace {
@@ -163,9 +163,10 @@ impl CohortNetModel {
         };
         // Assign feature states for the batch, then per-feature bitmaps.
         let states = batch_states(t, &mflm_trace, batch, &d.states);
-        let cem_trace =
-            self.cem
-                .forward(t, ps, kv, &mflm_trace.h_final, masks(&states), batch.size);
+        let h_final = t.ungroup(&mflm_trace.h_final);
+        let cem_trace = self
+            .cem
+            .forward(t, ps, kv, &h_final, masks(&states), batch.size);
         let logits = t.add(&mflm_trace.logits, &cem_trace.logits);
         FullTrace {
             logits,

@@ -157,18 +157,7 @@ pub fn serve_stream(
     cfg: ServerConfig,
     opts: StreamOptions,
 ) -> std::io::Result<Server> {
-    let (score, metrics) = ScoreApp::build(loaded, &cfg);
-    let stream_cfg =
-        StreamConfig::for_inferencer(score.engine.inferencer(), opts.effective_horizon());
-    let app = StreamApp {
-        score,
-        cfg: stream_cfg,
-        idle: opts.effective_idle(),
-        max_sessions: opts.effective_max_sessions(),
-        sessions: Mutex::new(HashMap::new()),
-        epoch: Instant::now(),
-        metrics: Arc::clone(&metrics),
-    };
+    let (app, metrics) = StreamApp::build(loaded, &cfg, &opts);
     serve_app(Arc::new(app), cfg.transport(), metrics)
 }
 
@@ -225,6 +214,26 @@ fn parse_ingest(body: &str) -> Result<IngestBody, String> {
 }
 
 impl StreamApp {
+    fn build(
+        loaded: LoadedModel,
+        cfg: &ServerConfig,
+        opts: &StreamOptions,
+    ) -> (Self, Arc<Metrics>) {
+        let (score, metrics) = ScoreApp::build(loaded, cfg);
+        let stream_cfg =
+            StreamConfig::for_inferencer(score.engine.inferencer(), opts.effective_horizon());
+        let app = StreamApp {
+            score,
+            cfg: stream_cfg,
+            idle: opts.effective_idle(),
+            max_sessions: opts.effective_max_sessions(),
+            sessions: Mutex::new(HashMap::new()),
+            epoch: Instant::now(),
+            metrics: Arc::clone(&metrics),
+        };
+        (app, metrics)
+    }
+
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
@@ -461,15 +470,23 @@ impl StreamApp {
     }
 
     fn handle_sessions_list(&self) -> AppResponse {
-        let map = self.sessions.lock().expect("session map poisoned");
-        let mut ids: Vec<&String> = map.keys().collect();
-        ids.sort();
+        // Snapshot the slots and release the map lock before taking any
+        // session lock: a session busy scoring must not hold every other
+        // session's `/ingest` behind the map lock.
+        let mut slots: Vec<(String, Arc<Slot>)> = {
+            let map = self.sessions.lock().expect("session map poisoned");
+            map.iter()
+                .map(|(id, slot)| (id.clone(), Arc::clone(slot)))
+                .collect()
+        };
+        slots.sort_by(|a, b| a.0.cmp(&b.0));
         let sessions = Json::Arr(
-            ids.iter()
-                .map(|id| {
-                    let state = map[*id].entry.lock().expect("session lock poisoned");
+            slots
+                .iter()
+                .map(|(id, slot)| {
+                    let state = slot.entry.lock().expect("session lock poisoned");
                     obj(vec![
-                        ("session", Json::Str((*id).clone())),
+                        ("session", Json::Str(id.clone())),
                         (
                             "window_start",
                             Json::Num(f64::from(state.session.window_start())),
@@ -491,7 +508,7 @@ impl StreamApp {
         AppResponse::json(
             200,
             json::render(&obj(vec![
-                ("active", Json::Num(map.len() as f64)),
+                ("active", Json::Num(slots.len() as f64)),
                 ("sessions", sessions),
             ])),
         )
@@ -533,5 +550,54 @@ impl App for StreamApp {
 
     fn on_drained(&self) {
         self.score.on_drained();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::demo::demo_bundle;
+    use cohortnet::snapshot::load_snapshot;
+    use std::sync::mpsc;
+    use std::thread;
+
+    /// A `GET /sessions` waiting on one busy session does not stall
+    /// `/ingest` into another: thread 1 (the test) holds session `a`'s
+    /// lock, thread 2 lists the sessions and waits on `a`, thread 3 ingests
+    /// into `b` and must finish while `a` is still held.
+    #[test]
+    fn session_list_waiting_on_a_busy_session_does_not_stall_ingest() {
+        let loaded = load_snapshot(&demo_bundle().snapshot).expect("demo snapshot loads");
+        let (app, _metrics) =
+            StreamApp::build(loaded, &ServerConfig::default(), &StreamOptions::default());
+        let app = Arc::new(app);
+        let a = app.get_or_create("a");
+        app.get_or_create("b");
+
+        let held = a.entry.lock().expect("session lock");
+        let lister = thread::spawn({
+            let app = Arc::clone(&app);
+            move || app.handle_sessions_list()
+        });
+        // Let the list reach session `a`'s lock.
+        thread::sleep(Duration::from_millis(200));
+        let (done, finished) = mpsc::channel();
+        let ingester = thread::spawn({
+            let app = Arc::clone(&app);
+            move || {
+                let body = r#"{"session":"b","events":[{"f":0,"t":1,"v":0.5}],"score":false}"#;
+                let _ = done.send(app.handle_ingest(body).status);
+            }
+        });
+        let ingested = finished.recv_timeout(Duration::from_secs(20));
+        drop(held);
+        let listed = lister.join().expect("list thread");
+        ingester.join().expect("ingest thread");
+        assert_eq!(
+            ingested.expect("ingest into b stalled behind a list waiting on a"),
+            200
+        );
+        assert_eq!(listed.status, 200);
+        assert!(listed.body.contains("\"active\":2"), "{}", listed.body);
     }
 }

@@ -12,7 +12,7 @@
 //!   the [`tape::Tape`] (single-pass reverse-mode autodiff) or by the
 //!   value-only [`exec::Eager`] executor;
 //! * [`param::ParamStore`] — shared trainable parameter arena;
-//! * [`nn`] — `Linear`, `Mlp`, `GruCell`, `LstmCell` layers;
+//! * [`nn`] — `Linear`, `Mlp`, `GruCell`, `LstmCell` and `Biel` layers;
 //! * [`optim`] — SGD and Adam;
 //! * [`gradcheck`] — finite-difference validation used throughout the tests.
 //!

@@ -5,14 +5,15 @@
 //! executor. Layers are therefore cheap to clone-free share across time
 //! steps — weight tying across a sequence falls out naturally.
 //!
-//! [`Linear`] and [`GruCell`] — the layers CohortNet's forward is built
-//! from — are generic over [`Exec`], so one definition runs on the autograd
-//! [`Tape`] and on the value-only [`crate::exec::Eager`] executor. Inputs
-//! are taken as `impl Borrow<E::V>`: tape callers pass [`Var`] handles by
-//! value, eager callers pass references to owned values.
+//! [`Linear`], [`GruCell`] and [`Biel`] — the layers CohortNet's forward
+//! is built from — are generic over [`Exec`], so one definition runs on
+//! the autograd [`Tape`] and on the value-only [`crate::exec::Eager`]
+//! executor. Inputs are taken as `impl Borrow<E::V>`: tape callers pass
+//! [`Var`] handles by value, eager callers pass references to owned values.
 
 use crate::exec::Exec;
 use crate::init;
+use crate::matrix::Matrix;
 use crate::param::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use rand::rngs::StdRng;
@@ -96,6 +97,94 @@ impl Linear {
     /// The bias parameter handle, `None` for bias-free layers.
     pub fn bias(&self) -> Option<ParamId> {
         self.b
+    }
+}
+
+/// Bi-directional embedding of one scalar feature (CohortNet's BiEL, Eq. 1).
+///
+/// A present value `x`, clamped to the feature's bounds `[lo, hi]`,
+/// interpolates between two anchor vectors, `e = w_a·v_a + w_b·v_b` with
+/// `w_a = (x - lo)/(hi - lo)` and `w_b = (hi - x)/(hi - lo)`; an absent
+/// value embeds as the learned missing-value vector `v_m`. The
+/// interpolation weights are data, so no gradient flows through `x`.
+#[derive(Debug, Clone)]
+pub struct Biel {
+    v_a: ParamId,
+    v_b: ParamId,
+    v_m: ParamId,
+    lo: f32,
+    hi: f32,
+}
+
+impl Biel {
+    /// Registers the three `1 x dim` vectors `{name}.a`, `{name}.b`,
+    /// `{name}.m` of a feature bounded by `bounds = (lo, hi)`.
+    pub fn new(
+        ps: &mut ParamStore,
+        rng: &mut StdRng,
+        name: &str,
+        dim: usize,
+        bounds: (f32, f32),
+    ) -> Self {
+        let mut anchor =
+            |s: &str| ps.register(format!("{name}.{s}"), init::uniform(rng, 1, dim, 0.3));
+        Biel {
+            v_a: anchor("a"),
+            v_b: anchor("b"),
+            v_m: anchor("m"),
+            lo: bounds.0,
+            hi: bounds.1,
+        }
+    }
+
+    /// The `(v_a, v_b, v_m)` parameter handles.
+    pub fn params(&self) -> (ParamId, ParamId, ParamId) {
+        (self.v_a, self.v_b, self.v_m)
+    }
+
+    /// `(w_a, w_b, present)` for raw value `x` with presence flag `mask`.
+    #[inline]
+    pub fn weights(&self, x: f32, mask: f32) -> (f32, f32, bool) {
+        let range = (self.hi - self.lo).max(1e-4);
+        let x = x.clamp(self.lo, self.hi);
+        ((x - self.lo) / range, (self.hi - x) / range, mask > 0.5)
+    }
+
+    /// Embeds column `f` of `step` (`batch x F` raw values, presence in the
+    /// same column of `mask`): `batch x dim`.
+    pub fn forward<E: Exec>(
+        &self,
+        e: &mut E,
+        ps: &ParamStore,
+        step: &Matrix,
+        mask: &Matrix,
+        f: usize,
+    ) -> E::V {
+        let batch = step.rows();
+        let mut w_a = Matrix::zeros(batch, 1);
+        let mut w_b = Matrix::zeros(batch, 1);
+        let mut m_on = Matrix::zeros(batch, 1);
+        let mut m_off = Matrix::zeros(batch, 1);
+        for r in 0..batch {
+            let (a, b, present) = self.weights(step[(r, f)], mask[(r, f)]);
+            w_a[(r, 0)] = a;
+            w_b[(r, 0)] = b;
+            m_on[(r, 0)] = f32::from(present);
+            m_off[(r, 0)] = f32::from(!present);
+        }
+        let wa = e.constant(w_a);
+        let wb = e.constant(w_b);
+        let mon = e.constant(m_on);
+        let moff = e.constant(m_off);
+        let va = e.param(ps, self.v_a);
+        let vb = e.param(ps, self.v_b);
+        let vm = e.param(ps, self.v_m);
+        let ea = e.matmul(&wa, &va);
+        let eb = e.matmul(&wb, &vb);
+        let e_present = e.add(&ea, &eb);
+        let e_masked = e.mul_col_broadcast(&e_present, &mon);
+        let em = e.matmul(&moff, &vm);
+        e.add(&e_masked, &em)
     }
 }
 

@@ -169,17 +169,24 @@ impl QuantMatrix {
 /// `absmax/127`, dotted against every channel in `i32`, and dequantized at
 /// the epilogue. `out` must be `x.rows() x w.n()`.
 pub fn qgemm(x: &Matrix, w: &QuantMatrix, out: &mut Matrix) {
+    qgemm_with(x, w, out, &mut Vec::new());
+}
+
+/// [`qgemm`] quantizing the activation rows into the caller's reusable
+/// `qrow` buffer.
+pub(crate) fn qgemm_with(x: &Matrix, w: &QuantMatrix, out: &mut Matrix, qrow: &mut Vec<i8>) {
     assert_eq!(x.cols(), w.k, "qgemm inner dimension mismatch");
     assert_eq!(out.shape(), (x.rows(), w.n), "qgemm output shape mismatch");
-    let mut qrow = vec![0i8; w.k];
+    qrow.clear();
+    qrow.resize(w.k, 0);
     for r in 0..x.rows() {
-        let sx = quantize_slice(x.row(r), &mut qrow);
+        let sx = quantize_slice(x.row(r), qrow);
         let out_row = out.row_mut(r);
         if sx == 0.0 {
             out_row.fill(0.0);
             continue;
         }
-        score_row(&qrow, w, sx, out_row);
+        score_row(qrow, w, sx, out_row);
     }
 }
 

@@ -726,6 +726,7 @@ impl Tape {
 /// runs can be differentiated with [`Tape::backward`].
 impl Exec for Tape {
     type V = Var;
+    type G = Vec<Var>;
 
     fn value<'s>(&'s self, v: &'s Var) -> &'s Matrix {
         Tape::value(self, *v)
@@ -802,6 +803,18 @@ impl Exec for Tape {
 
     fn slice_cols(&mut self, a: &Var, start: usize, end: usize) -> Var {
         Tape::slice_cols(self, *a, start, end)
+    }
+
+    fn group(&mut self, parts: Vec<Var>) -> Vec<Var> {
+        parts
+    }
+
+    fn ungroup(&mut self, g: &Vec<Var>) -> Vec<Var> {
+        g.clone()
+    }
+
+    fn block_row<'s>(&'s self, g: &'s Vec<Var>, f: usize, r: usize) -> &'s [f32] {
+        Tape::value(self, g[f]).row(r)
     }
 }
 
