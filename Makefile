@@ -50,7 +50,6 @@ bench-discovery:
 bench-smoke:
 	COHORTNET_FAST=1 COHORTNET_SCALE=0.5 $(CARGO) run --release -p cohortnet-bench --bin fig13_scalability
 	COHORTNET_FAST=1 $(CARGO) run --release -p cohortnet-bench --bin tensor_gemm
-	COHORTNET_FAST=1 $(CARGO) run --release -p cohortnet-bench --bin serve_throughput
 	COHORTNET_FAST=1 $(CARGO) run --release -p cohortnet-bench --bin obs_overhead
 
 ## End-to-end serving smoke: trains a tiny model, writes a snapshot, starts
@@ -74,8 +73,6 @@ chaos-smoke:
 ## keep-alive vs close-per-request comparison at equal concurrency —
 ## merging sustained rps / p50 / p99 / error rates into the "open_loop"
 ## section of BENCH_serve.json (uploaded by CI with the bench artifacts).
-## serve_throughput rewrites that file from scratch, so CI runs this
-## target after bench-smoke and the merge keeps both sections.
 load-smoke:
 	COHORTNET_FAST=1 $(CARGO) run --release -p cohortnet-bench --bin serve_load
 

@@ -416,7 +416,7 @@ fn main() {
 
     // 6. Stage attribution: the router's flight recorder must account for
     // where `/score` latency went. The recorded stages (accept + queue +
-    // batch-wait + compute + render + write) have to cover the measured
+    // batch-wait + compute + handoff + render + write) have to cover the measured
     // total at the tail — if the p99 of stage sums falls under 90% of the
     // p99 of totals, some stage is unattributed and the `/debug` triage
     // surface is lying.
@@ -447,6 +447,7 @@ fn main() {
                 + f("queue_us")
                 + f("batch_wait_us")
                 + f("compute_us")
+                + f("handoff_us")
                 + f("render_us")
                 + f("write_us"),
         );

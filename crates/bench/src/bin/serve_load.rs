@@ -2,9 +2,9 @@
 //! Poisson arrivals at a fixed target rate and records what the server
 //! actually sustained.
 //!
-//! Unlike `serve_throughput` (closed-loop: each client waits for its
-//! response before sending again, so a slow server silently slows the
-//! offered load), this harness schedules request arrival times up front
+//! Unlike a closed-loop client (each waits for its response before
+//! sending again, so a slow server silently slows the offered load), this
+//! harness schedules request arrival times up front
 //! from a seeded exponential inter-arrival process and measures every
 //! latency from the *scheduled* arrival, not from the moment the socket
 //! write happened — the coordinated-omission trap. The event loop itself
@@ -20,7 +20,7 @@
 //!   keep-alive win at equal concurrency.
 //!
 //! Results merge into `BENCH_serve.json` under an `"open_loop"` key,
-//! preserving whatever `serve_throughput` already wrote there. Every run
+//! preserving the other sections already there. Every run
 //! entry is tagged `topology: "single"` / `scheme: "plain"` so the fleet
 //! numbers `fleet_smoke` records alongside never overwrite the
 //! single-process trajectory.
@@ -64,8 +64,8 @@ fn num(v: f64) -> Json {
 }
 
 /// Adds/replaces the `"open_loop"` section of `BENCH_serve.json`,
-/// keeping whatever else is there (the closed-loop `serve` section from
-/// `serve_throughput`, the `fleet` section from `fleet_smoke`).
+/// keeping whatever else is there (the `fleet` section from `fleet_smoke`,
+/// the `stream` section from `stream_smoke`).
 fn merge_into_bench_json(results: &[RunResult], rps_ratio: f64, p99_ratio: f64) {
     let runs: Vec<Json> = results.iter().map(openloop::run_json).collect();
     let open_loop = json::obj(vec![

@@ -174,7 +174,7 @@ pub fn run_json(r: &RunResult) -> Json {
 
 /// Adds/replaces one top-level section of a BENCH json file, keeping
 /// whatever other sections are already there (the bench binaries share
-/// `BENCH_serve.json` between closed-loop, open-loop and fleet runs).
+/// `BENCH_serve.json` between open-loop, fleet and stream runs).
 pub fn merge_section(path: &str, key: &str, section: Json) {
     let mut root = match std::fs::read_to_string(path) {
         Ok(text) => json::parse(&text).unwrap_or(Json::Obj(Default::default())),

@@ -2,8 +2,9 @@
 //!
 //! A [`StageTimings`] splits one request's wall time into the pipeline
 //! stages it actually crossed: socket read+parse, dispatch-queue wait,
-//! engine batch assembly, batch compute, response render, and socket
-//! write — plus the batch size and (in a fleet) the serving replica.
+//! engine batch assembly, batch compute, the hand-off from the batcher back
+//! to the waiting worker, response render, and socket write — plus the
+//! batch size and (in a fleet) the serving replica.
 //!
 //! Assembly is a per-thread scratch slot: the worker thread owning the
 //! request calls [`begin`] when it picks the job up, stages called
@@ -18,9 +19,10 @@ use std::cell::Cell;
 
 /// Where one request's time went, in microseconds per stage.
 ///
-/// `accept_us + queue_us + batch_wait_us + compute_us + render_us +
-/// write_us` accounts for (nearly all of) the request's total server-side
-/// latency; the remainder is thread handoff.
+/// `accept_us + queue_us + batch_wait_us + compute_us + handoff_us +
+/// render_us + write_us` accounts for (nearly all of) the request's total
+/// server-side latency; the remainder is the worker's own bookkeeping
+/// between stages (routing, body parse, flight recording).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageTimings {
     /// First byte of the request on the socket → request fully parsed.
@@ -31,6 +33,9 @@ pub struct StageTimings {
     pub batch_wait_us: u32,
     /// Batch compute (scorer) duration for this request's batch.
     pub compute_us: u32,
+    /// End of the batch's compute → the waiting worker thread woke with
+    /// the reply (the batcher-to-worker hand-off).
+    pub handoff_us: u32,
     /// Response rendering (HTTP framing + body assembly).
     pub render_us: u32,
     /// Response queued for write → last byte flushed to the socket.
@@ -48,6 +53,7 @@ impl Default for StageTimings {
             queue_us: 0,
             batch_wait_us: 0,
             compute_us: 0,
+            handoff_us: 0,
             render_us: 0,
             write_us: 0,
             batch_size: 0,
@@ -63,6 +69,7 @@ impl StageTimings {
             + self.queue_us as u64
             + self.batch_wait_us as u64
             + self.compute_us as u64
+            + self.handoff_us as u64
             + self.render_us as u64
             + self.write_us as u64
     }
@@ -98,6 +105,7 @@ thread_local! {
             queue_us: 0,
             batch_wait_us: 0,
             compute_us: 0,
+            handoff_us: 0,
             render_us: 0,
             write_us: 0,
             batch_size: 0,
@@ -127,6 +135,17 @@ pub fn note_engine(batch_wait_us: u32, compute_us: u32, batch_size: u32) {
         t.batch_wait_us = batch_wait_us;
         t.compute_us = compute_us;
         t.batch_size = batch_size;
+        s.set(t);
+    });
+}
+
+/// Stamps the batcher-to-worker hand-off: from the end of the batch's
+/// compute to the caller's wake-up. Called by `score_many` next to
+/// [`note_engine`], so it too describes the dispatch that served.
+pub fn note_handoff(handoff_us: u32) {
+    SCRATCH.with(|s| {
+        let mut t = s.get();
+        t.handoff_us = handoff_us;
         s.set(t);
     });
 }
@@ -183,6 +202,7 @@ mod tests {
                 queue_us: 20,
                 batch_wait_us: 30,
                 compute_us: 40,
+                handoff_us: 0,
                 render_us: 5,
                 write_us: 0,
                 batch_size: 8,
@@ -191,6 +211,22 @@ mod tests {
         );
         assert_eq!(t.stage_sum_us(), 105);
         assert_eq!(take(), StageTimings::default());
+    }
+
+    #[test]
+    fn handoff_is_summed_and_reset_by_take() {
+        begin(10, 20);
+        note_engine(30, 40, 1);
+        note_handoff(25);
+        note_render(5);
+        let t = take();
+        assert_eq!(t.handoff_us, 25);
+        assert_eq!(t.stage_sum_us(), 130, "hand-off counts in the stage sum");
+        assert_eq!(take().handoff_us, 0, "take resets the hand-off");
+        assert!(
+            !t.server_timing_value().contains("handoff"),
+            "the Server-Timing format is unchanged"
+        );
     }
 
     #[test]

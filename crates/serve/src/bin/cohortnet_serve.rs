@@ -26,7 +26,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: cohortnet-serve (--snapshot PATH | --demo | --demo-snapshot PATH)\n\
          \x20        [--port N (default 8080)] [--max-batch N (default 16)]\n\
-         \x20        [--max-delay-us N (default 2000)] [--threads N (default 0 = all cores)]\n\
+         \x20        [--max-delay-us N (default 0: dispatch as soon as the batcher is free)]\n\
+         \x20        [--threads N (default 0 = all cores)]\n\
          \x20        [--deadline-ms N (default 0 = no queue deadline)]\n\
          \x20        [--read-timeout-ms N (default 0 = built-in 10s)]\n\
          \x20        [--idle-timeout-ms N (default 0 = built-in 30s keep-alive idle close)]\n\

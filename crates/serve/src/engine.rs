@@ -1,9 +1,13 @@
 //! The micro-batching request engine.
 //!
-//! Requests enter a bounded queue; a single batcher thread coalesces them
-//! into minibatches of up to `max_batch` requests, waiting at most
-//! `max_delay_us` after the oldest queued request before scoring whatever
-//! has accumulated. Batches are scored through
+//! Requests enter a bounded queue; a single batcher thread takes whatever
+//! is queued (up to `max_batch` requests) the moment it is free and scores
+//! it as one minibatch. The batcher is self-clocking and work-conserving,
+//! as in Clipper's adaptive batching (Crankshaw et al., NSDI'17): a lone
+//! request is dispatched at once, and batches form only from requests that
+//! arrive while an earlier batch is computing. An explicit `max_delay_us`
+//! opts into holding a partial batch for company, up to that long after its
+//! oldest request was queued. Batches are scored through
 //! [`Inferencer::score_requests_parallel`], whose GEMM contract makes every
 //! output row a function of its own input only — so a request's result is
 //! bit-identical whether it is scored alone or coalesced into any batch,
@@ -32,7 +36,7 @@
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,8 +59,10 @@ pub const MAX_BATCHER_RESTARTS: u64 = 100;
 pub struct EngineConfig {
     /// Maximum requests coalesced into one scored minibatch.
     pub max_batch: usize,
-    /// Maximum time the oldest queued request waits for company before the
-    /// batch is scored anyway, in microseconds.
+    /// How long a partial batch is held for company after its oldest
+    /// request was queued, in microseconds. The default 0 holds nothing:
+    /// the batcher dispatches as soon as it is free, and only requests that
+    /// queued while it was busy share a batch.
     pub max_delay_us: u64,
     /// Worker threads used to score a minibatch (0 = all available cores).
     pub threads: usize,
@@ -73,7 +79,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_batch: 16,
-            max_delay_us: 2_000,
+            max_delay_us: 0,
             threads: 0,
             queue_cap: 1024,
             deadline_ms: 0,
@@ -140,6 +146,9 @@ struct Delivery {
     compute_us: u32,
     /// Size of that batch (0 when the request never joined one).
     batch_size: u32,
+    /// When the batcher finished with this request (the end of its batch's
+    /// compute): the caller's hand-off stage runs from here to its wake-up.
+    done: Instant,
 }
 
 struct Pending {
@@ -160,9 +169,20 @@ struct Shared {
     scorer: Arc<Scorer>,
     queue: Mutex<VecDeque<Pending>>,
     cv: Condvar,
+    /// Written only under the `queue` lock, so the idle batcher, which
+    /// checks it under that lock before it waits, cannot miss the wake-up.
     shutdown: AtomicBool,
     cfg: EngineConfig,
     metrics: Arc<Metrics>,
+}
+
+impl Shared {
+    /// Sets the shutdown flag under the queue lock and returns the lock.
+    fn set_shutdown(&self) -> MutexGuard<'_, VecDeque<Pending>> {
+        let q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        self.shutdown.store(true, Ordering::SeqCst);
+        q
+    }
 }
 
 /// The micro-batching scoring engine. Cheap to share behind an [`Arc`];
@@ -306,6 +326,13 @@ impl Engine {
         let ctx = cohortnet_obs::ctx::current();
         {
             let mut q = s.queue.lock().expect("engine queue poisoned");
+            // Shutdown is set under this lock, so a request enqueued here is
+            // one the batcher will still see before it exits.
+            if s.shutdown.load(Ordering::SeqCst) {
+                drop(q);
+                s.metrics.responses_err.inc();
+                return Err(EngineError::ShuttingDown);
+            }
             if q.len() + n_valid > s.cfg.queue_cap {
                 drop(q);
                 s.metrics.responses_err.inc();
@@ -333,19 +360,23 @@ impl Engine {
         s.cv.notify_all();
         // Collect replies and fold the batcher-measured stage numbers into
         // this thread's scratch. Several requests may land in different
-        // batches; the worst (max) wait/compute describes the call.
-        let mut stage_max: Option<(u32, u32, u32)> = None;
+        // batches; the worst (max) wait/compute describes the call, and the
+        // hand-off runs from the last batch's end to this thread's wake-up.
+        let mut stage_max: Option<(u32, u32, u32, Instant)> = None;
         let rows: Vec<Reply> = slots
             .into_iter()
             .map(|slot| match slot {
                 Ok(rx) => match rx.recv() {
                     Ok(d) => {
-                        let (q_us, c_us, bsz) = stage_max.unwrap_or((0, 0, 0));
-                        stage_max = Some((
-                            q_us.max(d.queued_us),
-                            c_us.max(d.compute_us),
-                            bsz.max(d.batch_size),
-                        ));
+                        stage_max = Some(match stage_max {
+                            None => (d.queued_us, d.compute_us, d.batch_size, d.done),
+                            Some((q_us, c_us, bsz, done)) => (
+                                q_us.max(d.queued_us),
+                                c_us.max(d.compute_us),
+                                bsz.max(d.batch_size),
+                                done.max(d.done),
+                            ),
+                        });
                         d.reply
                     }
                     Err(_) => Err(EngineError::ShuttingDown),
@@ -353,8 +384,11 @@ impl Engine {
                 Err(e) => Err(e),
             })
             .collect();
-        if let Some((q_us, c_us, bsz)) = stage_max {
+        if let Some((q_us, c_us, bsz, done)) = stage_max {
+            let handoff_us = us32(done.elapsed());
             stage::note_engine(q_us, c_us, bsz);
+            stage::note_handoff(handoff_us);
+            s.metrics.stage_handoff_us.observe(u64::from(handoff_us));
         }
         for row in &rows {
             match row {
@@ -368,7 +402,7 @@ impl Engine {
     /// Stops accepting requests, drains the queue, and joins the batcher.
     /// Idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(self.shared.set_shutdown());
         self.shared.cv.notify_all();
         if let Some(handle) = self
             .batcher
@@ -387,9 +421,11 @@ impl Drop for Engine {
     }
 }
 
-/// Collects the next minibatch: blocks while the queue is empty, then waits
-/// until either `max_batch` requests have accumulated or the oldest request
-/// has been queued for `max_delay_us`. Returns `None` when shut down with an
+/// Collects the next minibatch: sleeps while the queue is empty, then takes
+/// what is queued, up to `max_batch` requests. With the default
+/// `max_delay_us` of 0 that happens at once; a non-zero `max_delay_us` holds
+/// a partial batch until `max_batch` requests have accumulated or the
+/// oldest has been queued that long. Returns `None` when shut down with an
 /// empty queue.
 fn next_batch(s: &Shared) -> Option<Vec<Pending>> {
     let delay = Duration::from_micros(s.cfg.max_delay_us);
@@ -399,12 +435,10 @@ fn next_batch(s: &Shared) -> Option<Vec<Pending>> {
             if s.shutdown.load(Ordering::SeqCst) {
                 return None;
             }
-            // Idle: nap until a request arrives (re-check shutdown
-            // periodically in case the notify raced the wait).
-            q =
-                s.cv.wait_timeout(q, Duration::from_millis(50))
-                    .expect("engine queue poisoned")
-                    .0;
+            // Idle: sleep until a request or shutdown arrives. Both are
+            // published under this lock, so the notify cannot slip in
+            // between the check above and the wait.
+            q = s.cv.wait(q).expect("engine queue poisoned");
             continue;
         }
         if q.len() >= s.cfg.max_batch || s.shutdown.load(Ordering::SeqCst) {
@@ -509,6 +543,7 @@ fn batcher_loop(s: &Shared) {
                 queued_us: us32(waited),
                 compute_us: 0,
                 batch_size: 0,
+                done: batch_start,
             });
         }
         if batch.is_empty() {
@@ -525,11 +560,11 @@ fn batcher_loop(s: &Shared) {
             s.metrics.queue_wait_us.observe(waited.as_micros() as u64);
         }
         let rows = score_batch(s, &batch);
-        let compute_us = us32(batch_start.elapsed());
+        let done = Instant::now();
+        let compute_us = us32(done - batch_start);
         s.metrics.batch_compute_us.observe(compute_us as u64);
         s.metrics.batches_total.inc();
         s.metrics.batch_size.observe(batch.len() as u64);
-        let now = Instant::now();
         let batch_size = batch.len() as u32;
         for (pending, row) in batch.iter().zip(rows) {
             let queued = batch_start.saturating_duration_since(pending.enqueued);
@@ -539,8 +574,9 @@ fn batcher_loop(s: &Shared) {
                 queued_us: us32(queued),
                 compute_us,
                 batch_size,
+                done,
             });
-            let waited = now.saturating_duration_since(pending.enqueued);
+            let waited = done.saturating_duration_since(pending.enqueued);
             s.metrics.latency_us.observe(waited.as_micros() as u64);
         }
     }
@@ -570,18 +606,20 @@ fn batcher_thread(s: &Shared) {
                         "batcher restart budget exhausted; draining queue with errors",
                         restarts = restarts,
                     );
-                    s.shutdown.store(true, Ordering::SeqCst);
-                    if let Ok(mut q) = s.queue.lock() {
-                        for pending in q.drain(..) {
-                            let _ = pending.tx.send(Delivery {
-                                reply: Err(EngineError::Internal(
-                                    "scoring engine restart budget exhausted".into(),
-                                )),
-                                queued_us: 0,
-                                compute_us: 0,
-                                batch_size: 0,
-                            });
-                        }
+                    // Under the queue lock: no caller can enqueue after the
+                    // drain, so none waits on a batcher that has exited.
+                    let mut q = s.set_shutdown();
+                    let done = Instant::now();
+                    for pending in q.drain(..) {
+                        let _ = pending.tx.send(Delivery {
+                            reply: Err(EngineError::Internal(
+                                "scoring engine restart budget exhausted".into(),
+                            )),
+                            queued_us: 0,
+                            compute_us: 0,
+                            batch_size: 0,
+                            done,
+                        });
                     }
                     return;
                 }

@@ -4,15 +4,16 @@
 //! engine over the tape-free [`cohortnet::infer::Inferencer`], fronted by a
 //! dependency-free HTTP/1.1 server built on a readiness event loop.
 //!
-//! * [`engine`] — bounded request queue that coalesces concurrent requests
-//!   into minibatches (`max_batch` / `max_delay_us` knobs). The determinism
+//! * [`engine`] — bounded request queue whose batcher scores whatever is
+//!   queued (up to `max_batch`) as soon as it is free; `max_delay_us` opts
+//!   into holding a partial batch for company. The determinism
 //!   contract is inherited from the inferencer's row independence: a request
 //!   scores bit-identically alone or inside any batch.
 //! * [`server`] — `POST /score`, `POST /explain`, `GET /cohorts`,
 //!   `GET /healthz`, `GET /metrics`, `GET /debug/{requests,config,trace}`,
 //!   `POST /shutdown`; graceful drain on shutdown. Every request gets
 //!   per-stage latency attribution (accept/queue/batch-wait/compute/
-//!   render/write) recorded into an always-on flight recorder
+//!   handoff/render/write) recorded into an always-on flight recorder
 //!   ([`cohortnet_obs::flight`]) behind `/debug/requests`, echoed as a
 //!   `Server-Timing` header on `X-Debug-Timing: 1`, and — when tracing is
 //!   on — linked into one connected cross-thread trace via

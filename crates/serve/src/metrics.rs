@@ -78,6 +78,9 @@ pub struct Metrics {
     pub stage_dispatch_wait_us: Arc<Histogram>,
     /// Response handed to the event loop → last byte flushed, µs.
     pub stage_write_us: Arc<Histogram>,
+    /// End of a batch's compute → the waiting worker woke with the reply,
+    /// µs.
+    pub stage_handoff_us: Arc<Histogram>,
     /// Stream events accepted into a session window (`POST /ingest`).
     pub stream_events: Arc<Counter>,
     /// Stream events ignored for arriving behind their session's window.
@@ -202,6 +205,11 @@ impl Metrics {
             stage_write_us: registry.histogram(
                 "cohortnet_stage_write_us",
                 "Response handed off until the last byte flushed, microseconds.",
+                LATENCY_US_BOUNDS,
+            ),
+            stage_handoff_us: registry.histogram(
+                "cohortnet_stage_handoff_us",
+                "Batch compute finished until the waiting worker woke, microseconds.",
                 LATENCY_US_BOUNDS,
             ),
             stream_events: registry.counter(

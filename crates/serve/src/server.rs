@@ -709,6 +709,7 @@ fn flight_record_json(r: &FlightRecord) -> Json {
         ("queue_us", Json::Num(f64::from(r.stage.queue_us))),
         ("batch_wait_us", Json::Num(f64::from(r.stage.batch_wait_us))),
         ("compute_us", Json::Num(f64::from(r.stage.compute_us))),
+        ("handoff_us", Json::Num(f64::from(r.stage.handoff_us))),
         ("render_us", Json::Num(f64::from(r.stage.render_us))),
         ("write_us", Json::Num(f64::from(r.stage.write_us))),
         ("batch_size", Json::Num(f64::from(r.stage.batch_size))),

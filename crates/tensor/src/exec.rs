@@ -54,7 +54,7 @@ use crate::gemm::gemm_into;
 use crate::matrix::{softmax_in_place, Matrix};
 use crate::nn::{Biel, GruCell, Linear};
 use crate::param::{ParamId, ParamStore};
-use crate::quant::{qgemm_with, QuantWeights};
+use crate::quant::{qgemm_rows, QuantRows, QuantWeights};
 
 /// The activation a grouped [`Exec::linear_blocks`] applies to `x W + b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -519,13 +519,19 @@ impl<'a> Weights<'a> {
     }
 
     /// `out = x · W` for weight `id`: through the int8 kernel when `id` has a
-    /// stand-in (quantizing rows into `qrow`), else the f32 GEMM with the
-    /// chains of [`kernel::matmul`]. `out` is reshaped to fit.
-    fn matmul(self, x: &Matrix, id: ParamId, out: &mut Matrix, qrow: &mut Vec<i8>) {
+    /// stand-in (reading `x`'s rows from `qx`, quantized there first if it
+    /// is stale), else the f32 GEMM with the chains of [`kernel::matmul`].
+    /// `out` is reshaped to fit.
+    fn matmul(self, x: &Matrix, id: ParamId, out: &mut Matrix, qx: &mut RowCache) {
         match self.quant.and_then(|q| q.get(id)) {
             Some(w) => {
+                if !qx.fresh {
+                    qx.rows.quantize(x);
+                    qx.fresh = true;
+                }
+                debug_assert_eq!(qx.rows.rows(), x.rows(), "stale quantized rows");
                 reshape(out, x.rows(), w.n());
-                qgemm_with(x, w, out, qrow);
+                qgemm_rows(&qx.rows, w, out);
             }
             None => {
                 let w = self.ps.value(id);
@@ -536,12 +542,32 @@ impl<'a> Weights<'a> {
     }
 }
 
-/// The product buffers of one fused gate.
+/// An activation matrix's int8 rows, quantized by the first int8 product
+/// that reads them and reused by the next ones until [`RowCache::clear`].
+/// Quantization is a pure function of the row, so reuse cannot move a bit.
+#[derive(Debug, Clone, Default)]
+struct RowCache {
+    rows: QuantRows,
+    fresh: bool,
+}
+
+impl RowCache {
+    /// Marks the rows stale: the next int8 product quantizes its input anew.
+    fn clear(&mut self) -> &mut Self {
+        self.fresh = false;
+        self
+    }
+}
+
+/// The product buffers of one fused gate, with the int8 rows of its two
+/// inputs: the caller clears `qx`/`qh` when `x`/`h` change, so the three
+/// gates of a GRU step quantize `x` once and `h` once.
 #[derive(Debug, Clone, Default)]
 struct Products {
     xw: Matrix,
     hu: Matrix,
-    qrow: Vec<i8>,
+    qx: RowCache,
+    qh: RowCache,
 }
 
 impl Products {
@@ -556,8 +582,8 @@ impl Products {
         kind: kernel::GateKind,
         dst: &mut Matrix,
     ) {
-        wts.matmul(x, w, &mut self.xw, &mut self.qrow);
-        wts.matmul(h, u, &mut self.hu, &mut self.qrow);
+        wts.matmul(x, w, &mut self.xw, &mut self.qx);
+        wts.matmul(h, u, &mut self.hu, &mut self.qh);
         reshape(dst, self.xw.rows(), self.xw.cols());
         kernel::gate_into(
             dst.as_mut_slice(),
@@ -667,7 +693,7 @@ impl Exec for Eager<'_> {
         match b {
             Val::Param(id) => {
                 let mut out = Matrix::default();
-                self.w.matmul(x, *id, &mut out, &mut self.work.prod.qrow);
+                self.w.matmul(x, *id, &mut out, self.work.prod.qx.clear());
                 Val::Owned(out)
             }
             Val::Owned(w) => Val::Owned(kernel::matmul(Vec::new(), x, w)),
@@ -822,7 +848,7 @@ impl Exec for Eager<'_> {
         self.check_store(ps);
         let mut out = Matrix::zeros(0, 0);
         self.w
-            .matmul(&x.m, layer.weight(), &mut out, &mut self.work.prod.qrow);
+            .matmul(&x.m, layer.weight(), &mut out, self.work.prod.qx.clear());
         if let Some(b) = layer.bias() {
             let bias = ps.value(b);
             assert_eq!(bias.shape(), (1, out.cols()), "bias width mismatch");
@@ -864,6 +890,8 @@ impl Exec for Eager<'_> {
             let p = cell.params();
             copy_block(x, f, xs);
             copy_block(h, f, hs);
+            prod.qx.clear();
+            prod.qh.clear();
             prod.gate(wts, xs, hs, [p.wz, p.uz, p.bz], Sigmoid, z);
             prod.gate(wts, xs, hs, [p.wr, p.ur, p.br], Sigmoid, r);
             reshape(rh, hs.rows(), hs.cols());
@@ -875,6 +903,7 @@ impl Exec for Eager<'_> {
             {
                 *o = rv * hv;
             }
+            prod.qh.clear();
             prod.gate(wts, xs, rh, [p.wh, p.uh, p.bh], Tanh, cand);
             crate::simd::gru_blend_slices(
                 &mut out.as_mut_slice()[f * block_len..(f + 1) * block_len],

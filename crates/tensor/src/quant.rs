@@ -169,24 +169,53 @@ impl QuantMatrix {
 /// `absmax/127`, dotted against every channel in `i32`, and dequantized at
 /// the epilogue. `out` must be `x.rows() x w.n()`.
 pub fn qgemm(x: &Matrix, w: &QuantMatrix, out: &mut Matrix) {
-    qgemm_with(x, w, out, &mut Vec::new());
+    let mut rows = QuantRows::default();
+    rows.quantize(x);
+    qgemm_rows(&rows, w, out);
 }
 
-/// [`qgemm`] quantizing the activation rows into the caller's reusable
-/// `qrow` buffer.
-pub(crate) fn qgemm_with(x: &Matrix, w: &QuantMatrix, out: &mut Matrix, qrow: &mut Vec<i8>) {
-    assert_eq!(x.cols(), w.k, "qgemm inner dimension mismatch");
+/// The rows of an activation matrix quantized for the int8 kernel: `k`
+/// `i8` values and one `absmax/127` scale per row. Products that read the
+/// same activations (the gates of one GRU step) share one quantization.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct QuantRows {
+    k: usize,
+    data: Vec<i8>,
+    scales: Vec<f32>,
+}
+
+impl QuantRows {
+    /// Quantizes every row of `x`, reusing the buffers.
+    pub(crate) fn quantize(&mut self, x: &Matrix) {
+        let k = x.cols();
+        self.k = k;
+        self.data.clear();
+        self.data.resize(x.rows() * k, 0);
+        self.scales.clear();
+        for r in 0..x.rows() {
+            let scale = quantize_slice(x.row(r), &mut self.data[r * k..(r + 1) * k]);
+            self.scales.push(scale);
+        }
+    }
+
+    /// Rows held.
+    pub(crate) fn rows(&self) -> usize {
+        self.scales.len()
+    }
+}
+
+/// [`qgemm`] over rows quantized beforehand. `out` must be
+/// `x.rows() x w.n()`.
+pub(crate) fn qgemm_rows(x: &QuantRows, w: &QuantMatrix, out: &mut Matrix) {
+    assert_eq!(x.k, w.k, "qgemm inner dimension mismatch");
     assert_eq!(out.shape(), (x.rows(), w.n), "qgemm output shape mismatch");
-    qrow.clear();
-    qrow.resize(w.k, 0);
-    for r in 0..x.rows() {
-        let sx = quantize_slice(x.row(r), qrow);
+    for (r, &sx) in x.scales.iter().enumerate() {
         let out_row = out.row_mut(r);
         if sx == 0.0 {
             out_row.fill(0.0);
             continue;
         }
-        score_row(qrow, w, sx, out_row);
+        score_row(&x.data[r * x.k..(r + 1) * x.k], w, sx, out_row);
     }
 }
 
