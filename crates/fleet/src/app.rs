@@ -32,7 +32,7 @@ use cohortnet_serve::json::{self, obj, Json};
 use cohortnet_serve::metrics::Metrics;
 use cohortnet_serve::server::{
     cohorts_json, debug_requests_body, debug_trace_body, error_body, explain_response,
-    parse_score_instances, score_rows_response, shutdown_body,
+    parse_score_body, score_rows_response, shutdown_body,
 };
 use cohortnet_serve::{
     serve_app, App, AppResponse, Engine, EngineConfig, EngineError, Server, ServerCtl,
@@ -153,13 +153,13 @@ impl FleetApp {
     }
 
     fn handle_score(&self, req: &Request) -> AppResponse {
-        let reqs = match parse_score_instances(&req.body) {
-            Ok(reqs) => reqs,
+        let (doc, reqs) = match parse_score_body(&req.body) {
+            Ok(parsed) => parsed,
             Err(why) => return AppResponse::json(400, error_body(&why)),
         };
         self.capture_canaries(&reqs);
         self.maybe_chaos_kill();
-        let key = patient_key(&req.body);
+        let key = patient_key(&doc);
         let n = self.pool.replicas().len();
         let mut tried: Vec<usize> = Vec::new();
         let mut last_err: Option<EngineError> = None;
@@ -306,10 +306,9 @@ fn row_shutting_down(row: &Result<cohortnet_serve::RowScore, EngineError>) -> bo
 }
 
 /// The consistent-hash key: FNV over the body's top-level `patient_id`
-/// (string or number), `None` when absent or unparsable.
-fn patient_key(body: &str) -> Option<u64> {
-    let parsed = json::parse(body).ok()?;
-    let pid = parsed.get("patient_id")?;
+/// (string or number), `None` when absent.
+fn patient_key(doc: &Json) -> Option<u64> {
+    let pid = doc.get("patient_id")?;
     if let Some(s) = pid.as_str() {
         Some(fnv64(s.as_bytes()))
     } else {

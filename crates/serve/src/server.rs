@@ -538,11 +538,11 @@ fn parse_instance(value: &Json) -> Result<ScoreRequest, String> {
     Ok(ScoreRequest { x, mask })
 }
 
-/// Decodes a `/score` body into its instances.
+/// Decodes a `/score` body into the parsed document and its instances.
 ///
 /// # Errors
 /// A human-readable message for the `400` response.
-pub fn parse_score_instances(body: &str) -> Result<Vec<ScoreRequest>, String> {
+pub fn parse_score_body(body: &str) -> Result<(Json, Vec<ScoreRequest>), String> {
     let parsed = json::parse(body).map_err(|e| format!("invalid json: {e}"))?;
     let Some(instances) = parsed.get("instances").and_then(Json::as_arr) else {
         return Err("body needs an array field \"instances\"".into());
@@ -557,7 +557,7 @@ pub fn parse_score_instances(body: &str) -> Result<Vec<ScoreRequest>, String> {
             Err(why) => return Err(format!("instance {i}: {why}")),
         }
     }
-    Ok(reqs)
+    Ok((parsed, reqs))
 }
 
 pub(crate) fn row_to_json(row: &RowScore) -> Json {
@@ -611,8 +611,8 @@ pub fn score_rows_response(rows: &[Result<RowScore, EngineError>]) -> (u16, Stri
 
 impl ScoreApp {
     fn handle_score(&self, req: &Request) -> (u16, String) {
-        let reqs = match parse_score_instances(&req.body) {
-            Ok(reqs) => reqs,
+        let reqs = match parse_score_body(&req.body) {
+            Ok((_, reqs)) => reqs,
             Err(why) => return (400, error_body(&why)),
         };
         match self.engine.score_many(reqs) {

@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use cohortnet::snapshot::load_snapshot;
 use cohortnet_chaos::{install, ChaosPlan, When};
+use cohortnet_obs::stage::StageTimings;
 use cohortnet_serve::demo::{demo_bundle, DemoBundle};
 use cohortnet_serve::metrics::Metrics;
 use cohortnet_serve::{Engine, EngineConfig};
@@ -38,14 +39,14 @@ fn engine(cfg: EngineConfig) -> Arc<Engine> {
     ))
 }
 
-/// Scores example `i` on a new thread; the thread returns the batch size
-/// its request was scored in.
-fn score_on_thread(engine: &Arc<Engine>, i: usize) -> std::thread::JoinHandle<u32> {
+/// Scores example `i` on a new thread; the thread returns its request's
+/// stage timings.
+fn score_on_thread(engine: &Arc<Engine>, i: usize) -> std::thread::JoinHandle<StageTimings> {
     let engine = Arc::clone(engine);
     std::thread::spawn(move || {
         let req = bundle().examples[i % bundle().examples.len()].clone();
         engine.score(req).expect("request scores");
-        cohortnet_obs::stage::take().batch_size
+        cohortnet_obs::stage::take()
     })
 }
 
@@ -60,10 +61,18 @@ fn default_engine_batches_only_what_queued_while_it_computed() {
     let first = score_on_thread(&engine, 0);
     std::thread::sleep(Duration::from_millis(100));
     let rest: Vec<_> = (1..=5).map(|i| score_on_thread(&engine, i)).collect();
-    assert_eq!(first.join().expect("first request"), 1);
+    let first = first.join().expect("first request");
+    assert_eq!(first.batch_size, 1);
+    // A lone request on an idle engine goes out at once: its wait stays
+    // well under a 2000 µs hold.
+    assert!(
+        first.batch_wait_us < 1000,
+        "lone request waited {} µs for company",
+        first.batch_wait_us
+    );
     let sizes: Vec<u32> = rest
         .into_iter()
-        .map(|h| h.join().expect("queued request"))
+        .map(|h| h.join().expect("queued request").batch_size)
         .collect();
     drop(guard);
     assert_eq!(sizes, vec![5; 5], "the five queued requests form one batch");
@@ -82,8 +91,8 @@ fn explicit_max_delay_holds_a_partial_batch() {
     let first = score_on_thread(&engine, 0);
     std::thread::sleep(Duration::from_millis(50));
     let second = score_on_thread(&engine, 1);
-    assert_eq!(first.join().expect("first request"), 2);
-    assert_eq!(second.join().expect("second request"), 2);
+    assert_eq!(first.join().expect("first request").batch_size, 2);
+    assert_eq!(second.join().expect("second request").batch_size, 2);
     assert_eq!(engine.metrics().batches_total.get(), 1);
     engine.shutdown();
 }

@@ -54,7 +54,7 @@ use crate::gemm::gemm_into;
 use crate::matrix::{softmax_in_place, Matrix};
 use crate::nn::{Biel, GruCell, Linear};
 use crate::param::{ParamId, ParamStore};
-use crate::quant::{qgemm_rows, QuantRows, QuantWeights};
+use crate::quant::{qgemm, qgemm_rows, QuantRows, QuantWeights};
 
 /// The activation a grouped [`Exec::linear_blocks`] applies to `x W + b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -519,19 +519,17 @@ impl<'a> Weights<'a> {
     }
 
     /// `out = x · W` for weight `id`: through the int8 kernel when `id` has a
-    /// stand-in (reading `x`'s rows from `qx`, quantized there first if it
-    /// is stale), else the f32 GEMM with the chains of [`kernel::matmul`].
-    /// `out` is reshaped to fit.
-    fn matmul(self, x: &Matrix, id: ParamId, out: &mut Matrix, qx: &mut RowCache) {
+    /// stand-in (from `qx`, `x`'s rows quantized by the caller, when given),
+    /// else the f32 GEMM with the chains of [`kernel::matmul`]. `out` is
+    /// reshaped to fit.
+    fn matmul(self, x: &Matrix, qx: Option<&QuantRows>, id: ParamId, out: &mut Matrix) {
         match self.quant.and_then(|q| q.get(id)) {
             Some(w) => {
-                if !qx.fresh {
-                    qx.rows.quantize(x);
-                    qx.fresh = true;
-                }
-                debug_assert_eq!(qx.rows.rows(), x.rows(), "stale quantized rows");
                 reshape(out, x.rows(), w.n());
-                qgemm_rows(&qx.rows, w, out);
+                match qx {
+                    Some(qx) => qgemm_rows(qx, w, out),
+                    None => qgemm(x, w, out),
+                }
             }
             None => {
                 let w = self.ps.value(id);
@@ -540,50 +538,36 @@ impl<'a> Weights<'a> {
             }
         }
     }
-}
 
-/// An activation matrix's int8 rows, quantized by the first int8 product
-/// that reads them and reused by the next ones until [`RowCache::clear`].
-/// Quantization is a pure function of the row, so reuse cannot move a bit.
-#[derive(Debug, Clone, Default)]
-struct RowCache {
-    rows: QuantRows,
-    fresh: bool,
-}
-
-impl RowCache {
-    /// Marks the rows stale: the next int8 product quantizes its input anew.
-    fn clear(&mut self) -> &mut Self {
-        self.fresh = false;
-        self
+    /// Whether any of `ids` has an int8 stand-in.
+    fn any_int8(self, ids: &[ParamId]) -> bool {
+        self.quant
+            .is_some_and(|q| ids.iter().any(|&id| q.get(id).is_some()))
     }
 }
 
-/// The product buffers of one fused gate, with the int8 rows of its two
-/// inputs: the caller clears `qx`/`qh` when `x`/`h` change, so the three
-/// gates of a GRU step quantize `x` once and `h` once.
+/// The product buffers of one fused gate.
 #[derive(Debug, Clone, Default)]
 struct Products {
     xw: Matrix,
     hu: Matrix,
-    qx: RowCache,
-    qh: RowCache,
 }
 
 impl Products {
     /// `dst = act(x·W + h·U + b)` for the `[W, U, b]` of one GRU gate — the
-    /// values of the reference's two products and fused gate.
+    /// values of the reference's two products and fused gate. `qx`/`qh` are
+    /// `x`/`h` quantized once for every gate of the step that reads them.
     fn gate(
         &mut self,
         wts: Weights,
-        x: &Matrix,
-        h: &Matrix,
+        (x, qx): (&Matrix, Option<&QuantRows>),
+        (h, qh): (&Matrix, Option<&QuantRows>),
         [w, u, b]: [ParamId; 3],
         kind: kernel::GateKind,
         dst: &mut Matrix,
     ) {
-        wts.matmul(x, w, &mut self.xw, &mut self.qx);
-        wts.matmul(h, u, &mut self.hu, &mut self.qh);
+        wts.matmul(x, qx, w, &mut self.xw);
+        wts.matmul(h, qh, u, &mut self.hu);
         reshape(dst, self.xw.rows(), self.xw.cols());
         kernel::gate_into(
             dst.as_mut_slice(),
@@ -606,6 +590,8 @@ struct Workspace {
     rh: Matrix,
     cand: Matrix,
     prod: Products,
+    qx: QuantRows,
+    qh: QuantRows,
 }
 
 /// Gives `m` the shape `rows x cols`, reusing its buffer; the contents are
@@ -693,7 +679,7 @@ impl Exec for Eager<'_> {
         match b {
             Val::Param(id) => {
                 let mut out = Matrix::default();
-                self.w.matmul(x, *id, &mut out, self.work.prod.qx.clear());
+                self.w.matmul(x, None, *id, &mut out);
                 Val::Owned(out)
             }
             Val::Owned(w) => Val::Owned(kernel::matmul(Vec::new(), x, w)),
@@ -814,11 +800,9 @@ impl Exec for Eager<'_> {
         mask: &Matrix,
     ) -> Stack {
         self.check_store(ps);
-        let quantized = self.w.quant.is_some_and(|q| {
-            biel.iter().any(|ch| {
-                let (a, b, m) = ch.params();
-                [a, b, m].iter().any(|&id| q.get(id).is_some())
-            })
+        let quantized = biel.iter().any(|ch| {
+            let (a, b, m) = ch.params();
+            self.w.any_int8(&[a, b, m])
         });
         if quantized {
             return reference::biel_blocks(self, ps, biel, step, mask);
@@ -847,8 +831,7 @@ impl Exec for Eager<'_> {
     fn linear_blocks(&mut self, ps: &ParamStore, layer: &Linear, x: &Stack, act: Act) -> Stack {
         self.check_store(ps);
         let mut out = Matrix::zeros(0, 0);
-        self.w
-            .matmul(&x.m, layer.weight(), &mut out, self.work.prod.qx.clear());
+        self.w.matmul(&x.m, None, layer.weight(), &mut out);
         if let Some(b) = layer.bias() {
             let bias = ps.value(b);
             assert_eq!(bias.shape(), (1, out.cols()), "bias width mismatch");
@@ -883,6 +866,8 @@ impl Exec for Eager<'_> {
             rh,
             cand,
             prod,
+            qx,
+            qh,
         } = &mut self.work;
         let mut out = Matrix::zeros(h.m.rows(), h.m.cols());
         let block_len = h.block_rows() * h.m.cols();
@@ -890,10 +875,17 @@ impl Exec for Eager<'_> {
             let p = cell.params();
             copy_block(x, f, xs);
             copy_block(h, f, hs);
-            prod.qx.clear();
-            prod.qh.clear();
-            prod.gate(wts, xs, hs, [p.wz, p.uz, p.bz], Sigmoid, z);
-            prod.gate(wts, xs, hs, [p.wr, p.ur, p.br], Sigmoid, r);
+            // An int8 cell quantizes `x`, `h` and `r⊙h` once per step
+            // for every gate that reads them.
+            let int8 = wts.any_int8(&[p.wz, p.uz, p.wr, p.ur, p.wh, p.uh]);
+            if int8 {
+                qx.quantize(xs);
+                qh.quantize(hs);
+            }
+            let xq = (&*xs, int8.then_some(&*qx));
+            let hq = (&*hs, int8.then_some(&*qh));
+            prod.gate(wts, xq, hq, [p.wz, p.uz, p.bz], Sigmoid, z);
+            prod.gate(wts, xq, hq, [p.wr, p.ur, p.br], Sigmoid, r);
             reshape(rh, hs.rows(), hs.cols());
             for ((o, &rv), &hv) in rh
                 .as_mut_slice()
@@ -903,8 +895,17 @@ impl Exec for Eager<'_> {
             {
                 *o = rv * hv;
             }
-            prod.qh.clear();
-            prod.gate(wts, xs, rh, [p.wh, p.uh, p.bh], Tanh, cand);
+            if int8 {
+                qh.quantize(rh);
+            }
+            prod.gate(
+                wts,
+                xq,
+                (rh, int8.then_some(&*qh)),
+                [p.wh, p.uh, p.bh],
+                Tanh,
+                cand,
+            );
             crate::simd::gru_blend_slices(
                 &mut out.as_mut_slice()[f * block_len..(f + 1) * block_len],
                 z.as_slice(),
