@@ -27,7 +27,7 @@ test-scalar:
 	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet --test forward_pins --test infer_identity --test quant_snapshot
 
 clippy:
-	$(CARGO) clippy --all-targets -- -D warnings
+	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 fmt:
 	$(CARGO) fmt --all -- --check

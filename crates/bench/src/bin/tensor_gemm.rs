@@ -1,6 +1,7 @@
 //! Tensor kernel micro-benchmarks — blocked GEMM vs the naive triple loop,
-//! the SIMD backends against each other, and the int8 quantized kernel
-//! against f32 — written to `BENCH_tensor.json`.
+//! the model's own small products on both GEMM paths (the evidence for the
+//! small/packed threshold), the SIMD backends against each other, and the
+//! int8 quantized kernel against f32 — written to `BENCH_tensor.json`.
 //!
 //! Every f32 configuration is checked bit-identical against the branch-free
 //! naive reference before it is timed: a kernel that drifts by one ULP is a
@@ -24,7 +25,7 @@ use cohortnet_bench::report::render_table;
 use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
 use cohortnet_metrics::{pr_auc, roc_auc};
 use cohortnet_models::data::prepare;
-use cohortnet_tensor::gemm::{gemm_into, set_gemm_threads};
+use cohortnet_tensor::gemm::{gemm_into, gemm_into_on, gemm_path, set_gemm_threads, GemmPath};
 use cohortnet_tensor::quant::{qgemm, QuantMatrix};
 use cohortnet_tensor::simd::{self, set_backend, supported_backends, Backend};
 use cohortnet_tensor::Matrix;
@@ -77,6 +78,19 @@ struct GemmRow {
     blocked_sec: f64,
     gflops: f64,
     speedup: f64,
+}
+
+/// One small product, timed on both GEMM paths and the naive loop.
+struct SmallRow {
+    variant: &'static str,
+    m: usize,
+    k: usize,
+    n: usize,
+    /// The path `gemm_into` picks for this size.
+    chosen: GemmPath,
+    naive_ns: f64,
+    small_ns: f64,
+    packed_ns: f64,
 }
 
 struct SimdRow {
@@ -168,6 +182,82 @@ fn bench_gemm(reps: usize, thread_counts: &[usize], rng: &mut StdRng) -> Vec<Gem
         }
         set_gemm_threads(1);
     }
+    rows
+}
+
+/// Best-of-`reps` nanoseconds per call of `f`, over `iters` calls per rep.
+fn time_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
+    time_best(reps, || {
+        for _ in 0..iters {
+            f();
+        }
+    }) * 1e9
+        / iters as f64
+}
+
+/// The products this model runs — `(k, n)` of the FIL projections, GRU
+/// gates, FeaFus and FeaAgg, at batch 1 and the training batch of 32 —
+/// plus taller stacks of the same widths around the small/packed
+/// threshold, each timed on both paths (checked bit-identical to naive
+/// first) and on the naive loop.
+fn bench_small(reps: usize, rng: &mut StdRng) -> Vec<SmallRow> {
+    let model: &[(usize, usize)] = &[(8, 8), (8, 16), (6, 16), (16, 16), (24, 6), (16, 8)];
+    let mut sizes: Vec<(usize, usize, usize)> = [1, 32]
+        .iter()
+        .flat_map(|&m| model.iter().map(move |&(k, n)| (m, k, n)))
+        .collect();
+    for (k, n) in [(8, 8), (16, 16), (24, 16), (32, 32), (64, 64), (128, 128)] {
+        sizes.extend([64, 128, 256, 512].map(|m| (m, k, n)));
+    }
+    let variants: &[(&'static str, bool, bool)] = &[
+        ("A*B", false, false),
+        ("At*B", true, false),
+        ("A*Bt", false, true),
+    ];
+    let mut rows = Vec::new();
+    for &(m, k, n) in &sizes {
+        // About 200k multiply-adds per timed rep, at least 20 calls.
+        let iters = (200_000 / (m * k * n)).max(20);
+        for &(name, ta, tb) in variants {
+            let (am, ak) = if ta { (k, m) } else { (m, k) };
+            let (bm, bk) = if tb { (n, k) } else { (k, n) };
+            let a = random_matrix(am, ak, rng);
+            let b = random_matrix(bm, bk, rng);
+            let mut reference = Matrix::zeros(m, n);
+            naive(ta, tb, &a, &b, &mut reference, k);
+            let mut out = Matrix::zeros(m, n);
+            let mut time_path = |path: GemmPath| {
+                gemm_into_on(path, ta, tb, &a, &b, &mut out, false);
+                for (idx, (g, w)) in out.as_slice().iter().zip(reference.as_slice()).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{name} {m}x{k}x{n} {path:?}: element {idx} drifted"
+                    );
+                }
+                time_ns(reps, iters, || {
+                    gemm_into_on(path, ta, tb, &a, &b, &mut out, false);
+                    std::hint::black_box(&mut out);
+                })
+            };
+            let (small_ns, packed_ns) = (time_path(GemmPath::Small), time_path(GemmPath::Packed));
+            let naive_ns = time_ns(reps, iters, || {
+                naive(ta, tb, &a, &b, &mut out, k);
+                std::hint::black_box(&mut out);
+            });
+            rows.push(SmallRow {
+                variant: name,
+                m,
+                k,
+                n,
+                chosen: gemm_path(m, k, n),
+                naive_ns,
+                small_ns,
+                packed_ns,
+            });
+        }
+    }
+    eprintln!("[tensor_gemm] small products done");
     rows
 }
 
@@ -307,6 +397,7 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(42);
     let rows = bench_gemm(reps, thread_counts, &mut rng);
+    let small_rows = bench_small(reps, &mut rng);
     let simd_rows = bench_simd(simd_size, reps, &mut rng);
     let quant = bench_quant(simd_size, reps, &mut rng);
 
@@ -329,6 +420,28 @@ fn main() {
         "{}",
         render_table(
             &["variant", "size", "threads", "naive", "blocked", "GFLOP/s", "speedup"],
+            &table
+        )
+    );
+
+    println!("\n== Small products per call, both paths (bit-identical outputs) ==\n");
+    let table: Vec<Vec<String>> = small_rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.variant.to_string(),
+                format!("{}x{}x{}", r.m, r.k, r.n),
+                format!("{:?}", r.chosen).to_lowercase(),
+                format!("{:.0}ns", r.naive_ns),
+                format!("{:.0}ns", r.small_ns),
+                format!("{:.0}ns", r.packed_ns),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &["variant", "size", "chosen", "naive", "small", "packed"],
             &table
         )
     );
@@ -411,6 +524,23 @@ fn main() {
             r.gflops,
             r.speedup,
             if i + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"small_products\": [\n");
+    for (i, r) in small_rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"variant\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"chosen\": \"{}\", \
+             \"naive_ns\": {:.1}, \"small_ns\": {:.1}, \"packed_ns\": {:.1}}}{}\n",
+            r.variant,
+            r.m,
+            r.k,
+            r.n,
+            format!("{:?}", r.chosen).to_lowercase(),
+            r.naive_ns,
+            r.small_ns,
+            r.packed_ns,
+            if i + 1 < small_rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");

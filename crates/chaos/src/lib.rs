@@ -490,7 +490,7 @@ mod tests {
         let a: Vec<RequestFault> = (0..32).map(|i| request_fault(9, i, 0.4)).collect();
         let b: Vec<RequestFault> = (0..32).map(|i| request_fault(9, i, 0.4)).collect();
         assert_eq!(a, b);
-        assert!(a.iter().any(|f| *f == RequestFault::None));
+        assert!(a.contains(&RequestFault::None));
         assert!(a.iter().any(|f| *f != RequestFault::None));
         assert_eq!(backoff_ms(5, 2, 10, 1000), backoff_ms(5, 2, 10, 1000));
         assert!(backoff_ms(5, 0, 10, 1000) <= 10);

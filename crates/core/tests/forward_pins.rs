@@ -85,9 +85,12 @@ fn assert_pinned(what: &str, got: &[u32], want: &[u32]) {
     );
 }
 
+/// The logits' bits of the scored patients.
+type Pins = [u32; N_SCORED];
+
 /// Golden logits per `(use_interactions, use_trends)`: f32 (tape and serving
 /// agree) then int8.
-const COHORT_PINS: [((bool, bool), [u32; N_SCORED], [u32; N_SCORED]); 4] = [
+const COHORT_PINS: [((bool, bool), Pins, Pins); 4] = [
     (
         (true, true),
         [

@@ -226,7 +226,7 @@ fn out_of_order_and_duplicate_timestamps_converge() {
 fn sliding_window_prefixes_match_oracle() {
     let (inf, cfg, scaler) = compiled();
     let ev = |feature, ts, value| StreamEvent { feature, ts, value };
-    let events = vec![
+    let events = [
         ev(0, 1.0, 37.0),
         ev(1, 10.0, 80.0),
         ev(0, 47.0, 37.8),

@@ -475,8 +475,7 @@ mod tests {
         drop(cap);
         let last = text
             .lines()
-            .filter(|l| l.contains("unit.ratelimit"))
-            .next_back()
+            .rfind(|l| l.contains("unit.ratelimit"))
             .unwrap();
         assert!(last.contains("suppressed="), "{last}");
     }

@@ -38,20 +38,29 @@
 //! | [`Exec::attention_sum`] | `u_f = v_0·α_f0 + v_1·α_f1 + …`, `j` left to right |
 //!
 //! **Contract.** Each grouped op's default body is its *reference*: the
-//! primitive-op composition in [`mod@reference`], which the tape records node by
-//! node (so training graphs and gradients are those of the per-feature
-//! loops). An executor may override a grouped op only with a computation
-//! that equals the reference bit for bit, for every input — including
-//! signed zeros, quantized weights and every SIMD backend. [`Eager`]
-//! overrides all of them with fused kernels over a [`Stack`]: the `F`
-//! blocks stacked as `F·batch` rows of one matrix, so a shared weight is one
-//! GEMM over all blocks and each op allocates one output instead of one
+//! primitive-op composition in [`mod@reference`], so training graphs and
+//! gradients are those of the per-feature loops. An executor may override a
+//! grouped op only with a computation that equals the reference bit for
+//! bit, for every input — including signed zeros, quantized weights and
+//! every SIMD backend — and, on the tape, in every gradient it passes back.
+//! [`Eager`] overrides all of them with fused kernels over a [`Stack`]: the
+//! `F` blocks stacked as `F·batch` rows of one matrix, so a shared weight is
+//! one GEMM over all blocks and each op allocates one output instead of one
 //! per primitive. Stacking cannot move a bit: the GEMM computes every
 //! element as one `k`-ascending chain and rows independently, and the int8
 //! [`qgemm`](crate::quant::qgemm) quantizes activations per row.
+//!
+//! The tape records the reference node by node for the ops that touch
+//! weights (`biel_blocks`, `linear_blocks`, `gru_blocks`) and for
+//! `concat_blocks`. It overrides FIL's `pair_attention` and `attention_sum`,
+//! which reach activations only: each is one stacked node valued by the
+//! same kernel as [`Eager`]'s, plus one row view per block. Its backward
+//! replays the rules of the reference's nodes in the reference's reverse
+//! order (blocks, then pairs, descending), including each add into a fresh
+//! gradient buffer (`0.0 + x`).
 
 use crate::gemm::gemm_into;
-use crate::matrix::{softmax_in_place, Matrix};
+use crate::matrix::Matrix;
 use crate::nn::{Biel, GruCell, Linear};
 use crate::param::{ParamId, ParamStore};
 use crate::quant::{qgemm, qgemm_rows, QuantRows, QuantWeights};
@@ -318,9 +327,7 @@ pub(crate) mod kernel {
     /// `a · b`, accumulated into a zeroed buffer.
     #[inline]
     pub(crate) fn matmul(buf: Vec<f32>, a: &Matrix, b: &Matrix) -> Matrix {
-        let mut buf = sized(buf, a.rows() * b.cols());
-        buf.resize(a.rows() * b.cols(), 0.0);
-        let mut out = Matrix::from_vec(a.rows(), b.cols(), buf);
+        let mut out = zeroed(buf, a.rows(), b.cols());
         crate::gemm::gemm_into(false, false, a, b, &mut out, true);
         out
     }
@@ -406,10 +413,9 @@ pub(crate) mod kernel {
         bias: &Matrix,
         kind: GateKind,
     ) -> Matrix {
-        let mut buf = sized(buf, a.len());
-        buf.resize(a.len(), 0.0);
-        gate_into(&mut buf, a, b, bias, kind);
-        Matrix::from_vec(a.rows(), a.cols(), buf)
+        let mut out = zeroed(buf, a.rows(), a.cols());
+        gate_into(out.as_mut_slice(), a, b, bias, kind);
+        out
     }
 
     /// [`gate`] into `dst` (`a.len()` values).
@@ -445,10 +451,79 @@ pub(crate) mod kernel {
     pub(crate) fn gru_blend(buf: Vec<f32>, z: &Matrix, h: &Matrix, cand: &Matrix) -> Matrix {
         assert_eq!(z.shape(), h.shape(), "blend shape mismatch");
         assert_eq!(z.shape(), cand.shape(), "blend shape mismatch");
-        let mut buf = sized(buf, z.len());
-        buf.resize(z.len(), 0.0);
-        crate::simd::gru_blend_slices(&mut buf, z.as_slice(), h.as_slice(), cand.as_slice());
-        Matrix::from_vec(z.rows(), z.cols(), buf)
+        let mut out = zeroed(buf, z.rows(), z.cols());
+        crate::simd::gru_blend_slices(
+            out.as_mut_slice(),
+            z.as_slice(),
+            h.as_slice(),
+            cand.as_slice(),
+        );
+        out
+    }
+
+    /// A zeroed `rows x cols` matrix in `buf`.
+    fn zeroed(buf: Vec<f32>, rows: usize, cols: usize) -> Matrix {
+        let mut buf = sized(buf, rows * cols);
+        buf.resize(rows * cols, 0.0);
+        Matrix::from_vec(rows, cols, buf)
+    }
+
+    /// [`Exec::pair_attention`](super::Exec::pair_attention) over blocks
+    /// given as row-major `batch x d` slices, stacked: rows `i·batch ..` of
+    /// the `F·batch x F` result are block `i`. Each score is the
+    /// reference's `sum_cols` of `q ⊙ k` (a left-to-right sum) times
+    /// `scale`, then the row softmax.
+    pub(crate) fn pair_attention(
+        buf: Vec<f32>,
+        q: &[&[f32]],
+        k: &[&[f32]],
+        (batch, d): (usize, usize),
+        scale: f32,
+    ) -> Matrix {
+        let nf = q.len();
+        let mut out = zeroed(buf, nf * batch, nf);
+        for (i, q_i) in q.iter().enumerate() {
+            for r in 0..batch {
+                let q_ir = &q_i[r * d..(r + 1) * d];
+                let row = out.row_mut(i * batch + r);
+                for (s, k_j) in row.iter_mut().zip(k) {
+                    let k_jr = &k_j[r * d..(r + 1) * d];
+                    let dot: f32 = q_ir.iter().zip(k_jr).map(|(&a, &b)| a * b).sum();
+                    *s = dot * scale;
+                }
+                crate::matrix::softmax_in_place(row);
+            }
+        }
+        out
+    }
+
+    /// [`Exec::attention_sum`](super::Exec::attention_sum) over blocks given
+    /// as row-major slices (`alpha` blocks `batch x F`, `v` blocks
+    /// `batch x d`), stacked like [`pair_attention`]: `u = v_0·α_0`, then
+    /// `u + v_j·α_j` for `j` left to right.
+    pub(crate) fn attention_sum(
+        buf: Vec<f32>,
+        alpha: &[&[f32]],
+        v: &[&[f32]],
+        (batch, d): (usize, usize),
+    ) -> Matrix {
+        let nf = alpha.len();
+        let mut out = zeroed(buf, nf * batch, d);
+        for (i, alpha_i) in alpha.iter().enumerate() {
+            for r in 0..batch {
+                let a = &alpha_i[r * nf..(r + 1) * nf];
+                let u = out.row_mut(i * batch + r);
+                for (j, (&a_ij, v_j)) in a.iter().zip(v).enumerate() {
+                    let v_jr = &v_j[r * d..(r + 1) * d];
+                    if j == 0 {
+                        u.iter_mut().zip(v_jr).for_each(|(o, &x)| *o = x * a_ij);
+                    } else {
+                        u.iter_mut().zip(v_jr).for_each(|(o, &x)| *o += x * a_ij);
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -495,6 +570,11 @@ impl Stack {
     fn block(&self, f: usize) -> &[f32] {
         let n = self.block_rows() * self.m.cols();
         &self.m.as_slice()[f * n..(f + 1) * n]
+    }
+
+    /// Every block's values, in block order.
+    fn blocks(&self) -> Vec<&[f32]> {
+        (0..self.blocks).map(|f| self.block(f)).collect()
     }
 }
 
@@ -928,20 +1008,14 @@ impl Exec for Eager<'_> {
 
     fn pair_attention(&mut self, q: &Stack, k: &Stack, scale: f32) -> Stack {
         assert_eq!(q.blocks, k.blocks, "query and key block counts differ");
-        let (nf, batch) = (q.blocks, q.block_rows());
-        let mut out = Matrix::zeros(nf * batch, nf);
-        for i in 0..nf {
-            for r in 0..batch {
-                let q_ir = q.row(i, r);
-                let row = out.row_mut(i * batch + r);
-                for (j, s) in row.iter_mut().enumerate() {
-                    let dot: f32 = q_ir.iter().zip(k.row(j, r)).map(|(&a, &b)| a * b).sum();
-                    *s = dot * scale;
-                }
-                softmax_in_place(row);
-            }
-        }
-        Stack::new(nf, out)
+        assert_eq!(
+            q.m.shape(),
+            k.m.shape(),
+            "query and key blocks differ in shape"
+        );
+        let shape = (q.block_rows(), q.m.cols());
+        let out = kernel::pair_attention(Vec::new(), &q.blocks(), &k.blocks(), shape, scale);
+        Stack::new(q.blocks, out)
     }
 
     fn attention_sum(&mut self, alpha: &Stack, v: &Stack) -> Stack {
@@ -949,23 +1023,14 @@ impl Exec for Eager<'_> {
             alpha.blocks, v.blocks,
             "attention and value block counts differ"
         );
-        let (nf, batch) = (alpha.blocks, alpha.block_rows());
-        let mut out = Matrix::zeros(nf * batch, v.m.cols());
-        for i in 0..nf {
-            for r in 0..batch {
-                let a = alpha.row(i, r);
-                let u = out.row_mut(i * batch + r);
-                for (j, &a_ij) in a.iter().enumerate() {
-                    let v_jr = v.row(j, r);
-                    if j == 0 {
-                        u.iter_mut().zip(v_jr).for_each(|(o, &x)| *o = x * a_ij);
-                    } else {
-                        u.iter_mut().zip(v_jr).for_each(|(o, &x)| *o += x * a_ij);
-                    }
-                }
-            }
-        }
-        Stack::new(nf, out)
+        assert_eq!(
+            alpha.m.shape(),
+            (v.m.rows(), v.blocks),
+            "attention shape mismatch"
+        );
+        let shape = (v.block_rows(), v.m.cols());
+        let out = kernel::attention_sum(Vec::new(), &alpha.blocks(), &v.blocks(), shape);
+        Stack::new(v.blocks, out)
     }
 }
 
@@ -973,7 +1038,7 @@ impl Exec for Eager<'_> {
 mod tests {
     use super::*;
     use crate::quant::{qgemm, QuantMatrix};
-    use crate::tape::Tape;
+    use crate::tape::{Tape, Var};
 
     fn m(rows: usize, cols: usize, seed: u32) -> Matrix {
         // Deterministic awkward fill: mixes signs, magnitudes and zeros.
@@ -1257,10 +1322,96 @@ mod tests {
             assert!(crate::simd::set_backend(backend));
             for (batch, nf) in [(1, 1), (1, 5), (3, 1), (3, 5)] {
                 let g = grouped(batch, nf);
-                let want = every_grouped_op(&mut Tape::new(), &g, false);
+                let want = every_grouped_op(&mut Tape::new(), &g, true);
                 let got = every_grouped_op(&mut Eager::new(&g.ps), &g, false);
                 let case = format!("{backend:?}, batch {batch}, {nf} blocks");
                 assert_same_bits(&got, &want, &case);
+            }
+        }
+        crate::simd::set_backend(before);
+    }
+
+    /// The values of FIL's two attention ops on a tape, fused or
+    /// (`reference`) recorded node by node, followed by the gradient of
+    /// every input block after a backward pass: self-attention (`q = k`),
+    /// attention over flipped keys, and sums over both the computed and a
+    /// leaf attention group, sharing one value group. The loss weights each
+    /// output with a `-0.0`-laced fill, so the upstream gradient holds
+    /// zeros next to every sign.
+    fn attention_values_and_grads(g: &Grouped, reference: bool) -> Vec<Option<Matrix>> {
+        let mut t = Tape::new();
+        let group = |t: &mut Tape, ms: &[Matrix]| -> Vec<Var> {
+            ms.iter().map(|m| t.constant(m.clone())).collect()
+        };
+        let (q, v, alpha) = (
+            group(&mut t, &g.xs),
+            group(&mut t, &g.hs),
+            group(&mut t, &g.alpha),
+        );
+        let k = flipped_keys(&mut t, &q);
+        let scale = -0.45;
+        let outs: Vec<Vec<Var>> = if reference {
+            let own = super::reference::pair_attention(&mut t, &q, &q, scale);
+            let cross = super::reference::pair_attention(&mut t, &q, &k, scale);
+            let u_cross = super::reference::attention_sum(&mut t, &cross, &v);
+            let u_leaf = super::reference::attention_sum(&mut t, &alpha, &v);
+            vec![own, cross, u_cross, u_leaf]
+        } else {
+            let own = t.pair_attention(&q, &q, scale);
+            let cross = t.pair_attention(&q, &k, scale);
+            let u_cross = t.attention_sum(&cross, &v);
+            let u_leaf = t.attention_sum(&alpha, &v);
+            vec![own, cross, u_cross, u_leaf]
+        };
+        let mut loss: Option<Var> = None;
+        for (o, out) in outs.iter().enumerate() {
+            for (f, &block) in out.iter().enumerate() {
+                let (r, c) = t.value(block).shape();
+                let w = t.constant(signed(r, c, 60 + (o * 7 + f) as u32));
+                let weighted = t.mul(block, w);
+                let term = t.mean_all(weighted);
+                loss = Some(match loss {
+                    Some(acc) => t.add(acc, term),
+                    None => term,
+                });
+            }
+        }
+        t.backward(loss.expect("at least one output block"));
+        let values = outs.iter().flatten().map(|&b| Some(t.value(b).clone()));
+        let inputs = [&q, &k, &v, &alpha];
+        let grads = inputs.into_iter().flatten().map(|&b| t.grad(b).cloned());
+        values.chain(grads).collect()
+    }
+
+    /// On a tape, the fused `pair_attention` and `attention_sum` equal their
+    /// reference compositions in value and in every input gradient, bit for
+    /// bit, on every SIMD backend, for batch 1 and 3 and 1 and 5 blocks.
+    #[test]
+    fn tape_attention_ops_match_reference_gradients_bitwise() {
+        let before = crate::simd::active();
+        for backend in crate::simd::supported_backends() {
+            assert!(crate::simd::set_backend(backend));
+            for (batch, nf) in [(1, 1), (1, 5), (3, 1), (3, 5)] {
+                let g = grouped(batch, nf);
+                let want = attention_values_and_grads(&g, true);
+                let got = attention_values_and_grads(&g, false);
+                assert_eq!(got.len(), want.len());
+                for (i, (gm, wm)) in got.iter().zip(&want).enumerate() {
+                    let case = format!("{backend:?}, batch {batch}, {nf} blocks, matrix {i}");
+                    let (gm, wm) = (gm.as_ref(), wm.as_ref());
+                    assert_eq!(gm.is_some(), wm.is_some(), "gradient presence ({case})");
+                    let (Some(gm), Some(wm)) = (gm, wm) else {
+                        continue;
+                    };
+                    assert_eq!(gm.shape(), wm.shape(), "shape ({case})");
+                    for (e, (gv, wv)) in gm.as_slice().iter().zip(wm.as_slice()).enumerate() {
+                        assert_eq!(
+                            gv.to_bits(),
+                            wv.to_bits(),
+                            "element {e}: {gv} vs {wv} ({case})"
+                        );
+                    }
+                }
             }
         }
         crate::simd::set_backend(before);

@@ -2,8 +2,9 @@
 //! every matrix product in the workspace.
 //!
 //! [`gemm_into`] computes `C (+)= op(A) · op(B)` where each operand is
-//! optionally transposed *logically* (no transposed copy is ever
-//! materialised). The four transpose variants (NN, TN, NT, TT) share one
+//! optionally transposed *logically* (no transposed copy of `A` is ever
+//! materialised; only the packing and the small NT path lay out a copy of
+//! `op(B)`). The four transpose variants (NN, TN, NT, TT) share one
 //! dispatch, so `Matrix::matmul`, `matmul_acc`, and the transpose-fused
 //! backward products (`Aᵀ·B`, `A·Bᵀ`) all have a single owner.
 //!
@@ -35,9 +36,18 @@
 //! and the panel width `NR` come from [`crate::simd`]'s runtime-dispatched
 //! backend (AVX2 uses 16-wide panels, SSE2/scalar 8-wide); every backend
 //! honours the same per-element chain, so the choice is invisible in the
-//! output bits. Small products skip packing entirely and use cache-friendly
-//! loop orders chosen per transpose variant (the chain order is the same
-//! either way).
+//! output bits.
+//!
+//! Small products skip packing entirely. Where the backend has a
+//! register-tiled small kernel (AVX2), NN, TN and NT products run through
+//! it: each output row's 8-wide tiles stay in registers across the whole
+//! `k` loop, four rows at a time, with a masked tile for the last `n % 8`
+//! columns; NT first copies `op(B)` to `k x n`. Otherwise (other backends,
+//! TT, or an NT product of one row) they use cache-friendly loop orders
+//! chosen per transpose variant. The chain order is the same either way.
+//! Which path a size takes ([`gemm_path`]) depends on the backend: the
+//! tiled kernel stays ahead of packing up to 1 Mi multiply-adds on the
+//! `tensor_gemm` bench, the plain loops only up to 8 Ki.
 
 use crate::matrix::Matrix;
 use crate::simd::{self, GemmSpec, MR};
@@ -45,8 +55,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Output rows handed to one parallel task (multiple of `MR`).
 const ROW_BLOCK: usize = 64;
-/// Below this many multiply-adds the packed path costs more than it saves.
+/// Below this many multiply-adds the packed path costs more than it saves
+/// over the plain small-path loops.
 const PACK_MIN_WORK: usize = 8 * 1024;
+/// The same threshold when the backend has a register-tiled small kernel:
+/// in `tensor_gemm`'s `small_products` rows (AVX2) the small path is faster
+/// than the packed one for every product below 1 Mi multiply-adds; from
+/// `128 x 128 x 128` (2 Mi) up, packing wins TN and NT.
+const TILED_PACK_MIN_WORK: usize = 1024 * 1024;
 /// Below this many multiply-adds threading costs more than it saves.
 const PAR_MIN_WORK: usize = 256 * 1024;
 
@@ -77,6 +93,30 @@ fn op_shape(m: &Matrix, transposed: bool) -> (usize, usize) {
     }
 }
 
+/// The two ways [`gemm_into`] can run a product. Both give the same bits
+/// (see the module docs); which is faster depends on the size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GemmPath {
+    /// Unpacked: the backend's register-tiled small kernel, else plain loops.
+    Small,
+    /// `op(B)` packed into panels, `MR x NR` micro-kernel tiles.
+    Packed,
+}
+
+/// The path [`gemm_into`] takes for an `m x k · k x n` product on the
+/// active SIMD backend.
+pub fn gemm_path(m: usize, k: usize, n: usize) -> GemmPath {
+    let min_work = match simd::gemm_spec().small {
+        Some(_) => TILED_PACK_MIN_WORK,
+        None => PACK_MIN_WORK,
+    };
+    if m * n * k < min_work {
+        GemmPath::Small
+    } else {
+        GemmPath::Packed
+    }
+}
+
 /// `C (+)= op(A) · op(B)` — the one kernel entry point.
 ///
 /// `ta` / `tb` select the logical transpose of each operand; `accumulate`
@@ -86,6 +126,25 @@ fn op_shape(m: &Matrix, transposed: bool) -> (usize, usize) {
 /// # Panics
 /// Panics on inner-dimension or output-shape mismatch.
 pub fn gemm_into(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix, accumulate: bool) {
+    let (m, k) = op_shape(a, ta);
+    let n = op_shape(b, tb).1;
+    gemm_into_on(gemm_path(m, k, n), ta, tb, a, b, out, accumulate);
+}
+
+/// [`gemm_into`] on a chosen path, whatever the size — for tests and
+/// benches that compare the paths.
+///
+/// # Panics
+/// Panics on inner-dimension or output-shape mismatch.
+pub fn gemm_into_on(
+    path: GemmPath,
+    ta: bool,
+    tb: bool,
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    accumulate: bool,
+) {
     let (m, ka) = op_shape(a, ta);
     let (kb, n) = op_shape(b, tb);
     assert_eq!(
@@ -109,11 +168,11 @@ pub fn gemm_into(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix, a
         return;
     }
 
-    let work = m * n * ka;
-    if work < PACK_MIN_WORK {
+    if path == GemmPath::Small {
         gemm_small(ta, tb, a, b, out);
         return;
     }
+    let work = m * n * ka;
 
     // Pack op(B) once into K-major panels (width set by the active SIMD
     // backend), shared by every row block.
@@ -239,13 +298,39 @@ fn pack_a_strip(a: &Matrix, ta: bool, i0: usize, mr: usize, k_dim: usize, tile: 
     }
 }
 
-/// Unpacked path for small products: per-variant loop orders that keep the
-/// inner loop contiguous where possible. Accumulation order per element is
-/// identical to the packed path (increasing k, starting from the prior
-/// value), so the two paths are bit-identical.
+/// Unpacked path for small products: the backend's register-tiled
+/// [`SmallKernel`](simd::SmallKernel) for NN, TN and NT (NT first copies
+/// `op(B)` to `k x n`, which a single output row does not repay), else
+/// per-variant loop orders that keep the inner loop contiguous where
+/// possible. Accumulation order per element is identical to the packed
+/// path (increasing k, starting from the prior value), so the two paths are
+/// bit-identical.
 fn gemm_small(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (m, k_dim) = op_shape(a, ta);
     let n = op_shape(b, tb).1;
+    let tiled = !tb || (!ta && m > 1);
+    if let (Some(small), true) = (simd::gemm_spec().small, tiled) {
+        let a_strides = if ta { (1, m) } else { (k_dim, 1) };
+        let shape = (m, k_dim, n);
+        if tb {
+            let mut op_b = vec![0.0f32; k_dim * n];
+            for (j, b_row) in b.as_slice().chunks_exact(k_dim).enumerate() {
+                for (kk, &x) in b_row.iter().enumerate() {
+                    op_b[kk * n + j] = x;
+                }
+            }
+            small(shape, a.as_slice(), a_strides, &op_b, out.as_mut_slice());
+        } else {
+            small(
+                shape,
+                a.as_slice(),
+                a_strides,
+                b.as_slice(),
+                out.as_mut_slice(),
+            );
+        }
+        return;
+    }
     match (ta, tb) {
         (false, false) => {
             // i-k-j: stream A row i and B row k. No `a_ik == 0.0` skip —
@@ -368,17 +453,24 @@ mod tests {
                 } else {
                     random_matrix(&mut rng, k_dim, n)
                 };
-                let mut out = Matrix::zeros(m, n);
-                gemm_into(ta, tb, &a, &b, &mut out, false);
-                let want = naive(ta, tb, &a, &b, None);
-                assert_bits_equal(&out, &want, &format!("{m}x{k_dim}x{n} ta={ta} tb={tb}"));
-
-                // Accumulating variant: chain must start from the prior value.
                 let init = random_matrix(&mut rng, m, n);
-                let mut out = init.clone();
-                gemm_into(ta, tb, &a, &b, &mut out, true);
-                let want = naive(ta, tb, &a, &b, Some(&init));
-                assert_bits_equal(&out, &want, &format!("acc {m}x{k_dim}x{n} ta={ta} tb={tb}"));
+                for path in [None, Some(GemmPath::Small), Some(GemmPath::Packed)] {
+                    let run = |out: &mut Matrix, accumulate: bool| match path {
+                        Some(path) => gemm_into_on(path, ta, tb, &a, &b, out, accumulate),
+                        None => gemm_into(ta, tb, &a, &b, out, accumulate),
+                    };
+                    let ctx = format!("{m}x{k_dim}x{n} ta={ta} tb={tb} path={path:?}");
+                    let mut out = Matrix::zeros(m, n);
+                    run(&mut out, false);
+                    assert_bits_equal(&out, &naive(ta, tb, &a, &b, None), &ctx);
+
+                    // Accumulating variant: chain must start from the prior
+                    // value.
+                    let mut out = init.clone();
+                    run(&mut out, true);
+                    let want = naive(ta, tb, &a, &b, Some(&init));
+                    assert_bits_equal(&out, &want, &format!("acc {ctx}"));
+                }
             }
         }
     }
@@ -389,7 +481,7 @@ mod tests {
         let a = random_matrix(&mut rng, 150, 70);
         let b = random_matrix(&mut rng, 70, 90);
         let mut out = Matrix::zeros(150, 90);
-        gemm_into(false, false, &a, &b, &mut out, false);
+        gemm_into_on(GemmPath::Packed, false, false, &a, &b, &mut out, false);
         assert_bits_equal(&out, &naive(false, false, &a, &b, None), "packed 150x70x90");
     }
 
@@ -413,17 +505,20 @@ mod tests {
     #[test]
     fn every_backend_matches_naive_bitwise() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        // Large enough for the packed path, ragged against both the 8-wide
-        // and 16-wide panel edges.
+        // Ragged against both the 8-wide and 16-wide panel edges and the
+        // small kernel's 8-wide tiles, on both paths.
         let a = random_matrix(&mut rng, 70, 45);
         let b = random_matrix(&mut rng, 45, 37);
         let want = naive(false, false, &a, &b, None);
         let before = crate::simd::active();
         for backend in crate::simd::supported_backends() {
             assert!(crate::simd::set_backend(backend));
-            let mut out = Matrix::zeros(70, 37);
-            gemm_into(false, false, &a, &b, &mut out, false);
-            assert_bits_equal(&out, &want, &format!("backend={}", backend.name()));
+            for path in [GemmPath::Small, GemmPath::Packed] {
+                let mut out = Matrix::zeros(70, 37);
+                gemm_into_on(path, false, false, &a, &b, &mut out, false);
+                let ctx = format!("backend={} path={path:?}", backend.name());
+                assert_bits_equal(&out, &want, &ctx);
+            }
         }
         crate::simd::set_backend(before);
     }

@@ -42,6 +42,31 @@ pub struct QuantMatrix {
     n: usize,
     data: Vec<i8>,
     scales: Vec<f32>,
+    /// `data` again, in the lane layout of [`pack_lanes`].
+    lanes: Vec<i16>,
+}
+
+/// Channels per lane group: one `i32` lane of a 256-bit vector each.
+const LANES: usize = 8;
+
+/// The weights of a `k x n` [`QuantMatrix`] (`data` channel-contiguous) as
+/// `i16` in the layout the AVX2 row kernel reads: for each group of
+/// [`LANES`] channels and each input pair `(2p, 2p + 1)`, the pair's two
+/// weights for every channel of the group, interleaved —
+/// `w[2p][j], w[2p+1][j]` for `j` ascending. An odd `k`'s last pair and a
+/// short last group are zero-padded.
+fn pack_lanes(k: usize, n: usize, data: &[i8]) -> Vec<i16> {
+    let pairs = k.div_ceil(2);
+    let groups = n.div_ceil(LANES);
+    let mut lanes = vec![0i16; groups * pairs * LANES * 2];
+    for j in 0..n {
+        let (g, t) = (j / LANES, j % LANES);
+        for (i, &w) in data[j * k..(j + 1) * k].iter().enumerate() {
+            let (p, half) = (i / 2, i % 2);
+            lanes[((g * pairs + p) * LANES + t) * 2 + half] = i16::from(w);
+        }
+    }
+    lanes
 }
 
 /// Int8 stand-ins for some of a [`crate::ParamStore`]'s weights, keyed by
@@ -123,7 +148,7 @@ impl QuantMatrix {
             }
             scales[j] = quantize_slice(&col, &mut data[j * k..(j + 1) * k]);
         }
-        QuantMatrix { k, n, data, scales }
+        QuantMatrix::from_parts(k, n, data, scales)
     }
 
     /// Rebuilds a matrix from stored parts (snapshot load).
@@ -133,7 +158,14 @@ impl QuantMatrix {
     pub fn from_parts(k: usize, n: usize, data: Vec<i8>, scales: Vec<f32>) -> QuantMatrix {
         assert_eq!(data.len(), k * n, "quant data length mismatch");
         assert_eq!(scales.len(), n, "quant scales length mismatch");
-        QuantMatrix { k, n, data, scales }
+        let lanes = pack_lanes(k, n, &data);
+        QuantMatrix {
+            k,
+            n,
+            data,
+            scales,
+            lanes,
+        }
     }
 
     /// Inner (reduction) dimension `k`.
@@ -220,16 +252,20 @@ pub(crate) fn qgemm_rows(x: &QuantRows, w: &QuantMatrix, out: &mut Matrix) {
 }
 
 /// One quantized activation row against every channel. On AVX2 the whole
-/// row goes through [`score_row_avx2`], which shares each 16-byte activation
-/// load across eight weight streams — the single-channel kernel is
-/// instruction-bound on its loads and sign-extends, not its multiplies.
-/// Integer accumulation is exact, so the blocking cannot change a single
-/// output bit.
+/// row goes through [`score_row_avx2`], which vectorizes across output
+/// channels rather than along `k`: the trunk's `k` is 6 to 24, too short
+/// for a `k`-vectorized dot to leave its scalar tail. Integer accumulation
+/// is exact and the epilogue is the same f32 expression per lane, so the
+/// layout cannot change a single output bit.
 fn score_row(qrow: &[i8], w: &QuantMatrix, sx: f32, out_row: &mut [f32]) {
+    assert_eq!(qrow.len(), w.k, "quantized row length");
+    assert_eq!(out_row.len(), w.n, "quantized output row length");
     #[cfg(target_arch = "x86_64")]
     if simd::active() == Backend::Avx2 {
-        // SAFETY: backend gated on AVX2 support; shapes checked by `qgemm`.
-        unsafe { score_row_avx2(qrow, &w.data, w.k, &w.scales, sx, out_row) };
+        // SAFETY: backend gated on AVX2 support; `qrow`, `out_row` and the
+        // matrix's own `lanes` and `scales` match `w.k` and `w.n` (asserted
+        // above and built by `from_parts`).
+        unsafe { score_row_avx2(qrow, w, sx, out_row) };
         return;
     }
     for (j, o) in out_row.iter_mut().enumerate() {
@@ -298,76 +334,51 @@ unsafe fn qdot_avx2(a: &[i8], b: &[i8]) -> i32 {
     sum
 }
 
-/// One whole activation row against every channel, eight channels per pass:
-/// each 16-byte activation load/extend feeds eight `pmaddwd` streams, so the
-/// kernel spends its port-5 shuffle budget (the `cvtepi8_epi16`s) nine times
-/// per 128 MACs instead of twelve per 32. One call per row also keeps the
-/// non-inlinable `target_feature` boundary out of the hot loop. Exact —
-/// every lane is the same sign-extended `i16` product sum as the scalar
-/// loop, and `i32` addition is order-free.
+/// One activation row against every channel, [`LANES`] channels per pass:
+/// each input pair `(x[2p], x[2p+1])`, broadcast as one `i32`, meets the
+/// pair's interleaved weights of eight channels (`QuantMatrix::lanes`) in
+/// one `vpmaddwd`, so lane `t` accumulates channel `j0 + t`'s dot product.
+/// Sign-extended `i8` pairs cannot overflow the `i16`-pair sum
+/// (≤ 2·127² < 2³¹), so every lane is the exact dot product. The epilogue
+/// `acc as f32 * (sx * scale[j])` runs per lane in that order
+/// (`vcvtdq2ps` rounds to nearest-even, like `as f32`).
 ///
 /// # Safety
-/// Requires AVX2. `data` must hold `out_row.len()` channel-contiguous runs
-/// of `k` weights, `qrow` must have `k` entries, and `scales` must cover
-/// every channel (all checked by `qgemm` before dispatch).
+/// Requires AVX2. `qrow` must have `w.k` entries and `out_row` `w.n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn score_row_avx2(
-    qrow: &[i8],
-    data: &[i8],
-    k: usize,
-    scales: &[f32],
-    sx: f32,
-    out_row: &mut [f32],
-) {
+unsafe fn score_row_avx2(qrow: &[i8], w: &QuantMatrix, sx: f32, out_row: &mut [f32]) {
     use std::arch::x86_64::*;
-    let n = out_row.len();
-    let hsum = |v: __m256i| -> i32 {
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v);
-        lanes.iter().sum()
-    };
-    let mut j = 0;
-    while j + 8 <= n {
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let mut acc2 = _mm256_setzero_si256();
-        let mut acc3 = _mm256_setzero_si256();
-        let mut acc4 = _mm256_setzero_si256();
-        let mut acc5 = _mm256_setzero_si256();
-        let mut acc6 = _mm256_setzero_si256();
-        let mut acc7 = _mm256_setzero_si256();
-        let base = data.as_ptr().add(j * k);
-        let mut i = 0;
-        while i + 16 <= k {
-            let ext =
-                |off: usize| _mm256_cvtepi8_epi16(_mm_loadu_si128(base.add(off * k + i).cast()));
-            let wa = _mm256_cvtepi8_epi16(_mm_loadu_si128(qrow.as_ptr().add(i).cast()));
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(wa, ext(0)));
-            acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(wa, ext(1)));
-            acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(wa, ext(2)));
-            acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(wa, ext(3)));
-            acc4 = _mm256_add_epi32(acc4, _mm256_madd_epi16(wa, ext(4)));
-            acc5 = _mm256_add_epi32(acc5, _mm256_madd_epi16(wa, ext(5)));
-            acc6 = _mm256_add_epi32(acc6, _mm256_madd_epi16(wa, ext(6)));
-            acc7 = _mm256_add_epi32(acc7, _mm256_madd_epi16(wa, ext(7)));
-            i += 16;
+    let (k, n) = (w.k, w.n);
+    let pairs = k.div_ceil(2);
+    let sxv = _mm256_set1_ps(sx);
+    let lanes = w.lanes.as_ptr();
+    let mut j0 = 0;
+    while j0 < n {
+        let group = lanes.add((j0 / LANES) * pairs * LANES * 2);
+        let mut acc = _mm256_setzero_si256();
+        for p in 0..pairs {
+            let lo = i32::from(*qrow.get_unchecked(2 * p)) & 0xffff;
+            let hi = if 2 * p + 1 < k {
+                i32::from(*qrow.get_unchecked(2 * p + 1))
+            } else {
+                0
+            };
+            let x = _mm256_set1_epi32(lo | (hi << 16));
+            let wv = _mm256_loadu_si256(group.add(p * LANES * 2).cast());
+            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(x, wv));
         }
-        let sums = [acc0, acc1, acc2, acc3, acc4, acc5, acc6, acc7].map(hsum);
-        for (t, s) in sums.into_iter().enumerate() {
-            let mut sum = s;
-            for ii in i..k {
-                sum += i32::from(*qrow.get_unchecked(ii))
-                    * i32::from(*data.get_unchecked((j + t) * k + ii));
-            }
-            *out_row.get_unchecked_mut(j + t) = sum as f32 * (sx * scales.get_unchecked(j + t));
-        }
-        j += 8;
-    }
-    while j < n {
-        let acc = qdot_avx2(qrow, &data[j * k..(j + 1) * k]);
-        *out_row.get_unchecked_mut(j) = acc as f32 * (sx * scales.get_unchecked(j));
-        j += 1;
+        let width = (n - j0).min(LANES);
+        let mut scales = [0.0f32; LANES];
+        scales[..width].copy_from_slice(&w.scales[j0..j0 + width]);
+        let y = _mm256_mul_ps(
+            _mm256_cvtepi32_ps(acc),
+            _mm256_mul_ps(sxv, _mm256_loadu_ps(scales.as_ptr())),
+        );
+        let mut ys = [0.0f32; LANES];
+        _mm256_storeu_ps(ys.as_mut_ptr(), y);
+        out_row[j0..j0 + width].copy_from_slice(&ys[..width]);
+        j0 += LANES;
     }
 }
 
@@ -463,7 +474,7 @@ mod tests {
 
     #[test]
     fn zero_channel_and_zero_row_are_exact() {
-        let w = Matrix::from_fn(5, 2, |i, _j| if i == 0 { 0.0 } else { 0.0 });
+        let w = Matrix::zeros(5, 2);
         let q = QuantMatrix::quantize(&w);
         assert_eq!(q.scales(), &[0.0, 0.0]);
         let x = Matrix::zeros(3, 5);
@@ -484,6 +495,56 @@ mod tests {
             // 1% absmax-relative: int8 per-channel keeps small products tight.
             assert!((e - g).abs() < 0.05, "quant drifted: {e} vs {g}");
         }
+    }
+
+    /// On every backend, `qgemm_rows` equals rows built from `qdot_scalar`
+    /// and the scalar epilogue, bit for bit, for every `k` and `n` in
+    /// `1..=40`: with columns and an activation row of ±127 only, an
+    /// all-zero weight channel and an all-zero activation row.
+    #[test]
+    fn rows_match_scalar_dots_for_every_shape() {
+        let before = simd::active();
+        for k in 1..=40 {
+            for n in 1..=40 {
+                let w = Matrix::from_fn(k, n, |i, j| match j % 3 {
+                    0 => f32::from(i8::try_from(1 - 2 * ((i + j) % 2) as i32).unwrap()),
+                    1 if j == 1 => 0.0,
+                    _ => ((i * n + j) as f32 * 0.37).sin(),
+                });
+                let x = Matrix::from_fn(3, k, |r, c| match r {
+                    0 => {
+                        if c % 2 == 0 {
+                            2.5
+                        } else {
+                            -2.5
+                        }
+                    }
+                    1 => 0.0,
+                    _ => ((r * k + c) as f32 * 0.71).cos(),
+                });
+                let q = QuantMatrix::quantize(&w);
+                let mut rows = QuantRows::default();
+                rows.quantize(&x);
+                let want = Matrix::from_fn(3, n, |r, j| {
+                    let sx = rows.scales[r];
+                    if sx == 0.0 {
+                        return 0.0;
+                    }
+                    let acc =
+                        qdot_scalar(&rows.data[r * k..(r + 1) * k], &q.data[j * k..(j + 1) * k]);
+                    acc as f32 * (sx * q.scales[j])
+                });
+                for backend in simd::supported_backends() {
+                    assert!(simd::set_backend(backend));
+                    let mut got = Matrix::zeros(3, n);
+                    qgemm_rows(&rows, &q, &mut got);
+                    for (g, w2) in got.as_slice().iter().zip(want.as_slice()) {
+                        assert_eq!(g.to_bits(), w2.to_bits(), "k={k} n={n} backend={backend:?}");
+                    }
+                }
+            }
+        }
+        simd::set_backend(before);
     }
 
     #[test]

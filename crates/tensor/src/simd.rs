@@ -39,6 +39,12 @@
 //! AVX2 tile exists because a 4×8 tile has only 4 independent chains per
 //! column group and stalls on add latency, while 8 chains keep both FP ports
 //! busy every cycle.
+//!
+//! AVX2 also has a [`SmallKernel`] for products too small to repay packing:
+//! four output rows at a time, one `__m256` per row per 8-column tile held
+//! across the whole `k` loop, with masked loads and stores for the last
+//! `n % 8` columns. The other backends have none; `crate::gemm` runs their
+//! small products through plain loops.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -198,13 +204,23 @@ pub type MicroKernel = fn(
     nr: usize,
 );
 
-/// The packed-B panel width and micro-kernel for one backend.
+/// A small-product kernel: `c += op(A) · B` for an `m x n` row-major `c`,
+/// a row-major `k x n` `B`, and `op(A)[i][k] = a[i·a_rs + k·a_cs]` (so one
+/// kernel serves `A` and `Aᵀ`). Every element is one k-ascending mul+add
+/// chain from its prior value, like [`MicroKernel`], without packing.
+pub type SmallKernel =
+    fn(mkn: (usize, usize, usize), a: &[f32], a_strides: (usize, usize), b: &[f32], c: &mut [f32]);
+
+/// The packed-B panel width and micro-kernels for one backend.
 #[derive(Clone, Copy)]
 pub struct GemmSpec {
     /// Packed panel width (columns per tile).
     pub nr: usize,
     /// The tile kernel.
     pub kernel: MicroKernel,
+    /// The register-tiled small-product kernel, where the backend has one
+    /// (the GEMM's plain loops run small products otherwise).
+    pub small: Option<SmallKernel>,
 }
 
 /// The GEMM kernel spec for the active backend.
@@ -219,15 +235,18 @@ pub fn gemm_spec_for(b: Backend) -> GemmSpec {
         Backend::Avx2 => GemmSpec {
             nr: 16,
             kernel: microkernel_avx2,
+            small: Some(small_gemm_avx2),
         },
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => GemmSpec {
             nr: 8,
             kernel: microkernel_sse2,
+            small: None,
         },
         _ => GemmSpec {
             nr: 8,
             kernel: microkernel_scalar,
+            small: None,
         },
     }
 }
@@ -339,6 +358,115 @@ unsafe fn avx2_tile(k_dim: usize, a_tile: &[f32], b_panel: &[f32], buf: &mut [f3
     }
     for (i, v) in acc.into_iter().enumerate() {
         _mm256_storeu_ps(buf.as_mut_ptr().add(i * 8), v);
+    }
+}
+
+/// The AVX2 [`SmallKernel`]: rows four at a time (then one at a time),
+/// each row's outputs in 8-wide register tiles held across the whole `k`
+/// loop, with a masked tile for the last `n % 8` columns. One `vmulps` +
+/// `vaddps` per step per lane, k ascending — no FMA, see the module docs.
+#[cfg(target_arch = "x86_64")]
+fn small_gemm_avx2(
+    (m, k_dim, n): (usize, usize, usize),
+    a: &[f32],
+    (a_rs, a_cs): (usize, usize),
+    b: &[f32],
+    c: &mut [f32],
+) {
+    assert_eq!(c.len(), m * n, "small GEMM output length");
+    assert!(b.len() >= k_dim * n, "small GEMM B too short");
+    if m == 0 || n == 0 || k_dim == 0 {
+        return;
+    }
+    assert!(
+        (m - 1) * a_rs + (k_dim - 1) * a_cs < a.len(),
+        "small GEMM A too short"
+    );
+    let mut i = 0;
+    while i + 4 <= m {
+        // SAFETY: `gemm_spec_for` hands this kernel out only for
+        // `Backend::Avx2`, which `Backend::supported` gates on AVX2
+        // detection; the asserts above bound every index the tile reads
+        // (rows `i..i + 4 <= m`, columns `< n`, `k < k_dim`).
+        unsafe { small_rows_avx2::<4>(i, (k_dim, n), a, (a_rs, a_cs), b, c) };
+        i += 4;
+    }
+    while i < m {
+        // SAFETY: as above, for the single row `i < m`.
+        unsafe { small_rows_avx2::<1>(i, (k_dim, n), a, (a_rs, a_cs), b, c) };
+        i += 1;
+    }
+}
+
+/// Lane masks for a tile's first `w` columns: `TAIL_MASK[8 - w..16 - w]`.
+#[cfg(target_arch = "x86_64")]
+static TAIL_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// Rows `i0 .. i0 + R` of [`small_gemm_avx2`]: for each 8-column tile, `R`
+/// accumulators loaded from `c`, stepped over every `k`, stored back.
+///
+/// # Safety
+/// Requires AVX2. Rows `i0 .. i0 + R` must lie in `c` (`n` columns each),
+/// `b` must hold `k_dim` rows of `n`, and `a` must hold
+/// `(i0 + R - 1)·a_rs + (k_dim - 1)·a_cs + 1` values.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn small_rows_avx2<const R: usize>(
+    i0: usize,
+    (k_dim, n): (usize, usize),
+    a: &[f32],
+    (a_rs, a_cs): (usize, usize),
+    b: &[f32],
+    c: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let (a_ptr, b_ptr, c_ptr) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let mut j0 = 0;
+    while j0 < n {
+        let w = (n - j0).min(8);
+        let mask = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - w).cast());
+        let mut acc = [_mm256_setzero_ps(); R];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            *acc_r = load_tile(c_ptr.add((i0 + r) * n + j0), w, mask);
+        }
+        for k in 0..k_dim {
+            let b_k = load_tile(b_ptr.add(k * n + j0), w, mask);
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let a_ik = _mm256_set1_ps(*a_ptr.add((i0 + r) * a_rs + k * a_cs));
+                *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(a_ik, b_k));
+            }
+        }
+        for (r, &acc_r) in acc.iter().enumerate() {
+            let dst = c_ptr.add((i0 + r) * n + j0);
+            if w == 8 {
+                _mm256_storeu_ps(dst, acc_r);
+            } else {
+                _mm256_maskstore_ps(dst, mask, acc_r);
+            }
+        }
+        j0 += 8;
+    }
+}
+
+/// The `w` (≤ 8) floats at `p` in the low lanes, the rest zero.
+///
+/// # Safety
+/// Requires AVX2; `p .. p + w` must be readable and `mask` must select the
+/// first `w` lanes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load_tile(
+    p: *const f32,
+    w: usize,
+    mask: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    if w == 8 {
+        _mm256_loadu_ps(p)
+    } else {
+        _mm256_maskload_ps(p, mask)
     }
 }
 

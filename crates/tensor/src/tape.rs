@@ -8,7 +8,10 @@
 //!
 //! The op set is deliberately small — just what recurrent/attention models
 //! over EHR data need — and every op's backward rule is validated against
-//! finite differences in `crate::gradcheck` tests.
+//! finite differences in `crate::gradcheck` tests. The two fused grouped
+//! ops, [`Exec::pair_attention`] and [`Exec::attention_sum`], replay the
+//! rules of their primitive reference and are checked against it bit for
+//! bit instead (see [`crate::exec`]).
 //!
 //! ## Buffer arena
 //!
@@ -66,6 +69,20 @@ enum Op {
     GateAct(Var, Var, Var, GateKind),
     /// Fused GRU state blend: `(1-z) ⊙ h + z ⊙ cand`.
     GruBlend(Var, Var, Var),
+    /// Copy of rows `[start, start + rows)` of a stacked node: the view of
+    /// one block a fused grouped op hands out.
+    Rows(Var, usize),
+    /// [`Exec::pair_attention`] over query and key blocks, stacked.
+    PairAttention {
+        q: Vec<Var>,
+        k: Vec<Var>,
+        scale: f32,
+    },
+    /// [`Exec::attention_sum`] over attention and value blocks, stacked.
+    AttentionSum {
+        alpha: Vec<Var>,
+        v: Vec<Var>,
+    },
 }
 
 struct Node {
@@ -384,6 +401,142 @@ impl Tape {
         self.push(v, Op::Mse(pred, targets))
     }
 
+    // ---------------------------------------------------------- grouped ops
+
+    /// The values of `blocks`, each of which must be `shape`.
+    fn block_values(&self, blocks: &[Var], shape: (usize, usize)) -> Vec<&[f32]> {
+        blocks
+            .iter()
+            .map(|v| {
+                let m = &self.nodes[v.0].value;
+                assert_eq!(m.shape(), shape, "grouped values must share a shape");
+                m.as_slice()
+            })
+            .collect()
+    }
+
+    /// Records the stacked result of a fused grouped op (`blocks` blocks of
+    /// equal height) and hands out one [`Op::Rows`] view per block. A view
+    /// no gradient reaches leaves its block's gradient zero, which the
+    /// fused backward passes on as zero terms that change no sum.
+    fn push_stacked(&mut self, value: Matrix, op: Op, blocks: usize) -> Vec<Var> {
+        let (rows, cols) = (value.rows() / blocks, value.cols());
+        let stacked = self.push(value, op);
+        (0..blocks)
+            .map(|f| {
+                let mut buf = self.grab();
+                let block = rows * cols;
+                buf.extend_from_slice(
+                    &self.nodes[stacked.0].value.as_slice()[f * block..(f + 1) * block],
+                );
+                self.push(
+                    Matrix::from_vec(rows, cols, buf),
+                    Op::Rows(stacked, f * rows),
+                )
+            })
+            .collect()
+    }
+
+    /// The backward of [`Op::PairAttention`]: the rules of the nodes of
+    /// [`crate::exec::reference::pair_attention`], replayed in its reverse
+    /// node order — blocks `i` and then pairs `j` descending. Each add into
+    /// a fresh gradient buffer is kept as `0.0 + x` (which turns `-0.0`
+    /// into `+0.0`).
+    fn pair_attention_backward(
+        &mut self,
+        q: &[Var],
+        k: &[Var],
+        scale: f32,
+        out: &Matrix,
+        g: &Matrix,
+    ) {
+        let nf = q.len();
+        let batch = out.rows() / nf;
+        // One block's score-matrix gradient, and one pair's score gradient.
+        let mut g_scores = self.alloc_zero(batch, nf);
+        let mut g_pair = self.alloc_zero(batch, 1);
+        for i in (0..nf).rev() {
+            // SoftmaxRows: `y ⊙ (g - <g, y>)` per row.
+            for r in 0..batch {
+                let (y, g_r) = (out.row(i * batch + r), g.row(i * batch + r));
+                let dot: f32 = y.iter().zip(g_r).map(|(&y, &gi)| y * gi).sum();
+                for ((o, &y_c), &g_c) in g_scores.row_mut(r).iter_mut().zip(y).zip(g_r) {
+                    *o = 0.0 + y_c * (g_c - dot);
+                }
+            }
+            for j in (0..nf).rev() {
+                // ConcatCols, then Scale, then SumCols.
+                for r in 0..batch {
+                    let g_scaled = 0.0 + g_scores[(r, j)];
+                    let g_sum = 0.0 + g_scaled * scale;
+                    g_pair[(r, 0)] = 0.0 + g_sum;
+                }
+                // Mul(q_i, k_j): q_i's gradient, then k_j's.
+                self.add_row_scaled(q[i], g_pair.as_slice(), k[j]);
+                self.add_row_scaled(k[j], g_pair.as_slice(), q[i]);
+            }
+        }
+        self.reclaim(g_scores);
+        self.reclaim(g_pair);
+    }
+
+    /// `grad(dst)[r, c] += s[r] · value(src)[r, c]`: one operand's rule of a
+    /// `Mul` whose upstream gradient is constant along each row.
+    fn add_row_scaled(&mut self, dst: Var, s: &[f32], src: Var) {
+        let mut grad = self.take_grad(dst);
+        let x = &self.nodes[src.0].value;
+        for (r, &s_r) in s.iter().enumerate() {
+            for (o, &x_c) in grad.row_mut(r).iter_mut().zip(x.row(r)) {
+                *o += s_r * x_c;
+            }
+        }
+        self.nodes[dst.0].grad = Some(grad);
+    }
+
+    /// The backward of [`Op::AttentionSum`]: the rules of the nodes of
+    /// [`crate::exec::reference::attention_sum`] in its reverse node order,
+    /// as in [`Tape::pair_attention_backward`].
+    fn attention_sum_backward(&mut self, alpha: &[Var], v: &[Var], out: &Matrix, g: &Matrix) {
+        let nf = alpha.len();
+        let (batch, d) = (out.rows() / nf, out.cols());
+        let mut g_term = self.alloc_zero(batch, d);
+        for i in (0..nf).rev() {
+            // The chain of Adds hands every term `0.0 + g_u`; a lone term is
+            // `u` itself and gets `g_u`.
+            let g_u = &g.as_slice()[i * batch * d..(i + 1) * batch * d];
+            for (o, &x) in g_term.as_mut_slice().iter_mut().zip(g_u) {
+                *o = if nf == 1 { x } else { 0.0 + x };
+            }
+            for j in (0..nf).rev() {
+                // MulColBroadcast(v_j, α_i[:, j]): v_j's gradient ...
+                let mut g_v = self.take_grad(v[j]);
+                let a = &self.nodes[alpha[i].0].value;
+                for r in 0..batch {
+                    let s = a[(r, j)];
+                    for (o, &x) in g_v.row_mut(r).iter_mut().zip(g_term.row(r)) {
+                        *o += x * s;
+                    }
+                }
+                self.nodes[v[j].0].grad = Some(g_v);
+                // ... then the weight's, into a fresh buffer, which
+                // SliceCols adds into column `j` of α_i's gradient.
+                let mut g_a = self.take_grad(alpha[i]);
+                let v_j = &self.nodes[v[j].0].value;
+                for r in 0..batch {
+                    let dw: f32 = g_term
+                        .row(r)
+                        .iter()
+                        .zip(v_j.row(r))
+                        .map(|(&x, &y)| x * y)
+                        .sum();
+                    g_a[(r, j)] += 0.0 + dw;
+                }
+                self.nodes[alpha[i].0].grad = Some(g_a);
+            }
+        }
+        self.reclaim(g_term);
+    }
+
     // ------------------------------------------------------------- backward
 
     fn grad_buf(&mut self, v: Var) -> &mut Matrix {
@@ -694,6 +847,17 @@ impl Tape {
                 }
                 self.nodes[cand.0].grad = Some(gc);
             }
+            Op::Rows(a, start) => {
+                let mut ga = self.take_grad(*a);
+                let cols = g.cols();
+                let rows = &mut ga.as_mut_slice()[start * cols..(start + g.rows()) * cols];
+                for (o, &gi) in rows.iter_mut().zip(g.as_slice()) {
+                    *o += gi;
+                }
+                self.nodes[a.0].grad = Some(ga);
+            }
+            Op::PairAttention { q, k, scale } => self.pair_attention_backward(q, k, *scale, out, g),
+            Op::AttentionSum { alpha, v } => self.attention_sum_backward(alpha, v, out, g),
         }
     }
 
@@ -815,6 +979,52 @@ impl Exec for Tape {
 
     fn block_row<'s>(&'s self, g: &'s Vec<Var>, f: usize, r: usize) -> &'s [f32] {
         Tape::value(self, g[f]).row(r)
+    }
+
+    fn pair_attention(&mut self, q: &Vec<Var>, k: &Vec<Var>, scale: f32) -> Vec<Var> {
+        assert_eq!(q.len(), k.len(), "query and key block counts differ");
+        let Some(&first) = q.first() else {
+            return Vec::new();
+        };
+        let shape = self.nodes[first.0].value.shape();
+        let buf = self.grab();
+        let value = kernel::pair_attention(
+            buf,
+            &self.block_values(q, shape),
+            &self.block_values(k, shape),
+            shape,
+            scale,
+        );
+        let op = Op::PairAttention {
+            q: q.clone(),
+            k: k.clone(),
+            scale,
+        };
+        self.push_stacked(value, op, q.len())
+    }
+
+    fn attention_sum(&mut self, alpha: &Vec<Var>, v: &Vec<Var>) -> Vec<Var> {
+        assert_eq!(
+            alpha.len(),
+            v.len(),
+            "attention and value block counts differ"
+        );
+        let Some(&first) = v.first() else {
+            return Vec::new();
+        };
+        let shape = self.nodes[first.0].value.shape();
+        let buf = self.grab();
+        let value = kernel::attention_sum(
+            buf,
+            &self.block_values(alpha, (shape.0, alpha.len())),
+            &self.block_values(v, shape),
+            shape,
+        );
+        let op = Op::AttentionSum {
+            alpha: alpha.clone(),
+            v: v.clone(),
+        };
+        self.push_stacked(value, op, v.len())
     }
 }
 

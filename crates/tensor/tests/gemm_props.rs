@@ -3,9 +3,10 @@
 //! The contract (see `cohortnet_tensor::gemm`): every output element is one
 //! f32 accumulation chain over `k` in strictly increasing order, starting
 //! from the prior value (zero when not accumulating). All four transpose
-//! variants, the packed/blocked path, the small path, and every thread count
-//! must produce bit-identical results to the branch-free naive reference
-//! below — not merely close, *equal to the bit*.
+//! variants, the packed/blocked path, the small path (each forced at every
+//! size as well as chosen by size), and every thread count must produce
+//! bit-identical results to the branch-free naive reference below — not
+//! merely close, *equal to the bit*.
 //!
 //! Sizes and fills are drawn from the in-tree `proptest` stand-in; matrices
 //! are filled from a drawn `u64` seed (the stand-in has no `prop_flat_map`,
@@ -13,7 +14,7 @@
 //! and `-0.0` entries so any sparsity branch (`a_ik == 0.0` skips) would be
 //! caught: skipping a `+ 0.0 * b` term changes `-0.0` outcomes and rounding.
 
-use cohortnet_tensor::gemm::{gemm_into, set_gemm_threads};
+use cohortnet_tensor::gemm::{gemm_into, gemm_into_on, set_gemm_threads, GemmPath};
 use cohortnet_tensor::simd::{set_backend, supported_backends};
 use cohortnet_tensor::Matrix;
 use proptest::prelude::*;
@@ -129,13 +130,14 @@ proptest! {
         let mut base = Matrix::zeros(m, n);
         gemm_into(ta, tb, &a, &b, &mut base, false);
         // Neither thread count nor SIMD backend may change a bit — sweep the
-        // cross product against the sequential result.
+        // cross product against the sequential result. Threads split only
+        // the packed path, so it is forced at these sizes.
         for backend in supported_backends() {
             prop_assert!(set_backend(backend));
             for threads in [1usize, 2, 4, 8] {
                 set_gemm_threads(threads);
                 let mut out = Matrix::zeros(m, n);
-                gemm_into(ta, tb, &a, &b, &mut out, false);
+                gemm_into_on(GemmPath::Packed, ta, tb, &a, &b, &mut out, false);
                 assert_bits_equal(
                     &out,
                     &base,
@@ -210,19 +212,22 @@ fn check_variant(
         Matrix::zeros(m, n)
     };
     naive(ta, tb, &a, &b, &mut want, k);
-    // Every supported SIMD backend must hit the same naive chain bitwise.
+    // Every supported SIMD backend, on either path whatever the size, must
+    // hit the same naive chain bitwise.
     for backend in supported_backends() {
         prop_assert!(set_backend(backend));
         let mut got = out.clone();
         gemm_into(ta, tb, &a, &b, &mut got, accumulate);
-        assert_bits_equal(
-            &got,
-            &want,
-            &format!(
-                "m={m} k={k} n={n} ta={ta} tb={tb} acc={accumulate} backend={}",
-                backend.name()
-            ),
-        )?;
+        let ctx = format!(
+            "m={m} k={k} n={n} ta={ta} tb={tb} acc={accumulate} backend={}",
+            backend.name()
+        );
+        assert_bits_equal(&got, &want, &ctx)?;
+        for path in [GemmPath::Small, GemmPath::Packed] {
+            let mut got = out.clone();
+            gemm_into_on(path, ta, tb, &a, &b, &mut got, accumulate);
+            assert_bits_equal(&got, &want, &format!("{ctx} path={path:?}"))?;
+        }
     }
     Ok(())
 }
