@@ -6,10 +6,11 @@ CARGO ?= cargo
 CHAOS_SEEDS ?= 42 7 1234
 
 ## Local verification: CI's build, test, lint and perfbench steps plus the
-## fleet and stream smokes, in CI's order. It omits CI's serve, trace,
-## chaos, bench and load smokes (serve-smoke, trace-smoke, chaos-smoke,
-## bench-smoke, load-smoke); run those targets by name.
-verify: build test test-scalar clippy fmt perfbench-test fleet-smoke stream-smoke
+## serve, fleet and stream smokes, in CI's order (serve-smoke is the one
+## smoke that walks every single-server ops route). It omits CI's trace,
+## chaos, bench and load smokes (trace-smoke, chaos-smoke, bench-smoke,
+## load-smoke); run those targets by name.
+verify: build test test-scalar clippy fmt perfbench-test serve-smoke fleet-smoke stream-smoke
 
 build:
 	$(CARGO) build --release

@@ -30,18 +30,17 @@
 //! Run: `COHORTNET_FAST=1 cargo run --release -p cohortnet-bench --bin
 //! fleet_smoke` (drop the env var for the longer local run).
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cohortnet::infer::ScoreRequest;
 use cohortnet::snapshot::{fnv64, load_snapshot, save_snapshot_quant};
 use cohortnet_bench::fast;
 use cohortnet_bench::openloop::{self, Hook, Mode, Profile, RunResult};
+use cohortnet_bench::smoke::{call, SmokeLog};
 use cohortnet_chaos::{install, ChaosPlan, When};
 use cohortnet_fleet::{serve_fleet, FleetConfig};
+use cohortnet_serve::client::score_body;
 use cohortnet_serve::json::{self, Json};
 use cohortnet_serve::reactor::raise_nofile_limit;
 use cohortnet_serve::{demo, serve, ServerConfig, TransportConfig};
@@ -54,64 +53,6 @@ const REPLICAS: usize = 3;
 
 /// Where the smoke narration lands for the CI artifact.
 const LOG_PATH: &str = "target/FLEET_SMOKE.log";
-
-/// Narration sink: everything echoes to stderr and accumulates for
-/// `target/FLEET_SMOKE.log`.
-struct SmokeLog(String);
-
-impl SmokeLog {
-    fn say(&mut self, line: impl AsRef<str>) {
-        let line = line.as_ref();
-        eprintln!("[fleet_smoke] {line}");
-        self.0.push_str(line);
-        self.0.push('\n');
-    }
-
-    fn flush(&self) {
-        let _ = std::fs::create_dir_all("target");
-        if let Err(e) = std::fs::write(LOG_PATH, &self.0) {
-            eprintln!("[fleet_smoke] could not write {LOG_PATH}: {e}");
-        } else {
-            eprintln!("[fleet_smoke] wrote {LOG_PATH}");
-        }
-    }
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn batch_body(examples: &[ScoreRequest]) -> String {
-    let join = |v: &[f32]| {
-        v.iter()
-            .map(|x| format!("{x}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let instances: Vec<String> = examples
-        .iter()
-        .map(|e| format!("{{\"x\":[{}],\"mask\":[{}]}}", join(&e.x), join(&e.mask)))
-        .collect();
-    format!("{{\"instances\":[{}]}}", instances.join(","))
-}
 
 fn scratch_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fleet_smoke_{}_{name}", std::process::id()))
@@ -179,12 +120,12 @@ fn main() {
     cohortnet_obs::init_from_env();
     raise_nofile_limit(8192);
     let fast_mode = fast();
-    let mut log = SmokeLog(String::new());
+    let mut log = SmokeLog::new("fleet_smoke", LOG_PATH);
 
     log.say("training demo model...");
     let bundle = demo::demo_bundle();
     let bodies: Vec<String> = bundle.examples.iter().map(openloop::score_body).collect();
-    let batch = batch_body(&bundle.examples);
+    let batch = score_body(&bundle.examples);
 
     let lm = load_snapshot(&bundle.snapshot).expect("snapshot loads");
     let quant_text = save_snapshot_quant(&lm.model, &lm.params, &lm.scaler, lm.time_steps);
@@ -218,11 +159,11 @@ fn main() {
         },
     )
     .expect("single server starts");
-    let (status, want_plain) = request(single.addr(), "POST", "/score", &batch);
+    let (status, want_plain) = call(single.addr(), "POST", "/score", &batch);
     assert_eq!(status, 200, "{want_plain}");
     single.shutdown();
     for i in 0..5 {
-        let (status, got) = request(addr, "POST", "/score", &batch);
+        let (status, got) = call(addr, "POST", "/score", &batch);
         assert_eq!(status, 200, "{got}");
         assert_eq!(
             got, want_plain,
@@ -247,7 +188,7 @@ fn main() {
                 // The reload scores canaries on the new model before the
                 // flip; run it off-thread so the harness keeps dispatching.
                 std::thread::spawn(move || {
-                    let got = request(addr, "POST", "/admin/reload", &body);
+                    let got = call(addr, "POST", "/admin/reload", &body);
                     *reload_result.lock().expect("reload result lock") = Some(got);
                 });
             }),
@@ -291,7 +232,7 @@ fn main() {
     log.say(format!(
         "mid-run reload ok: {canaries:.0} canaries bit-verified, {swapped:.0} replicas swapped"
     ));
-    let (status, got) = request(addr, "POST", "/score", &batch);
+    let (status, got) = call(addr, "POST", "/score", &batch);
     assert_eq!(status, 200);
     assert_eq!(got, want_plain, "identical hot-swap changed scores");
     log.say("post-swap scores bit-identical to pre-swap");
@@ -302,9 +243,9 @@ fn main() {
         let _guard =
             install(ChaosPlan::new(SEED).site("fleet.reload.corrupt", When::At(vec![1]), 977));
         let body = format!("{{\"path\":\"{}\"}}", same_path.display());
-        let (status, resp) = request(addr, "POST", "/admin/reload", &body);
+        let (status, resp) = call(addr, "POST", "/admin/reload", &body);
         assert_eq!(status, 422, "poisoned reload must be rejected: {resp}");
-        let (status, got) = request(addr, "POST", "/score", &batch);
+        let (status, got) = call(addr, "POST", "/score", &batch);
         assert_eq!(status, 200);
         assert_eq!(got, want_plain, "rejected reload must not change scores");
         log.say("poisoned reload rejected with 422; old model still serving");
@@ -345,13 +286,13 @@ fn main() {
         p99_cap,
         swap_run.p99_us
     );
-    let (status, got) = request(addr, "POST", "/score", &batch);
+    let (status, got) = call(addr, "POST", "/score", &batch);
     assert_eq!(status, 200);
     assert_eq!(
         got, want_plain,
         "responses must stay bit-identical after the kill"
     );
-    let (status, health) = request(addr, "GET", "/healthz", "");
+    let (status, health) = call(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
     let health = json::parse(&health).expect("healthz parses");
     let states: Vec<String> = health
@@ -376,7 +317,7 @@ fn main() {
     // 5. Scheme swap to the int8 quantized artifact on the surviving
     // replicas; post-swap scores must match a cold quant server.
     let body = format!("{{\"path\":\"{}\",\"quant\":true}}", quant_path.display());
-    let (status, resp) = request(addr, "POST", "/admin/reload", &body);
+    let (status, resp) = call(addr, "POST", "/admin/reload", &body);
     assert_eq!(status, 200, "quant reload failed: {resp}");
     let report = json::parse(&resp).expect("reload report parses");
     assert_eq!(
@@ -393,16 +334,16 @@ fn main() {
         },
     )
     .expect("cold quant server starts");
-    let (status, want_quant) = request(cold.addr(), "POST", "/score", &batch);
+    let (status, want_quant) = call(cold.addr(), "POST", "/score", &batch);
     assert_eq!(status, 200, "{want_quant}");
     cold.shutdown();
-    let (status, got_quant) = request(addr, "POST", "/score", &batch);
+    let (status, got_quant) = call(addr, "POST", "/score", &batch);
     assert_eq!(status, 200);
     assert_eq!(
         got_quant, want_quant,
         "post-swap quant scores must match a cold server on the artifact"
     );
-    let (_, health) = request(addr, "GET", "/healthz", "");
+    let (_, health) = call(addr, "GET", "/healthz", "");
     let health = json::parse(&health).expect("healthz parses");
     assert_eq!(health.get("quant").and_then(Json::as_bool), Some(true));
     let want_fp = format!("{:016x}", fnv64(quant_text.as_bytes()));
@@ -415,12 +356,12 @@ fn main() {
     ));
 
     // 6. Stage attribution: the router's flight recorder must account for
-    // where `/score` latency went. The recorded stages (accept + queue +
+    // where `/score` latency went. The recorded stages (accept + queue + app +
     // batch-wait + compute + handoff + render + write) have to cover the measured
     // total at the tail — if the p99 of stage sums falls under 90% of the
     // p99 of totals, some stage is unattributed and the `/debug` triage
     // surface is lying.
-    let (status, dbg) = request(addr, "GET", "/debug/requests?n=1024", "");
+    let (status, dbg) = call(addr, "GET", "/debug/requests?n=1024", "");
     assert_eq!(status, 200, "/debug/requests failed: {dbg}");
     let parsed = json::parse(&dbg).expect("debug requests parses");
     let rows = parsed
@@ -445,6 +386,7 @@ fn main() {
         sums.push(
             f("accept_us")
                 + f("queue_us")
+                + f("app_us")
                 + f("batch_wait_us")
                 + f("compute_us")
                 + f("handoff_us")

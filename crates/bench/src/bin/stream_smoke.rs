@@ -24,8 +24,6 @@
 //! Run: `COHORTNET_FAST=1 cargo run --release -p cohortnet-bench --bin
 //! stream_smoke` (drop the env var for the longer local run).
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use cohortnet::index::{CohortIndex, IndexCache};
@@ -33,6 +31,7 @@ use cohortnet::snapshot::load_snapshot;
 use cohortnet::stream::{batch_reference, StreamConfig, StreamEvent, StreamSession};
 use cohortnet_bench::fast;
 use cohortnet_bench::openloop::{self, Mode, Profile};
+use cohortnet_bench::smoke::{call, SmokeLog};
 use cohortnet_ehr::{generate_event_streams, EventStreamConfig};
 use cohortnet_serve::json::{self, Json};
 use cohortnet_serve::{demo, serve_stream, ServerConfig, StreamOptions};
@@ -42,50 +41,6 @@ const SEED: u64 = 42;
 
 /// Where the smoke narration lands for the CI artifact.
 const LOG_PATH: &str = "target/STREAM_SMOKE.log";
-
-/// Narration sink: everything echoes to stderr and accumulates for
-/// `target/STREAM_SMOKE.log`.
-struct SmokeLog(String);
-
-impl SmokeLog {
-    fn say(&mut self, line: impl AsRef<str>) {
-        let line = line.as_ref();
-        eprintln!("[stream_smoke] {line}");
-        self.0.push_str(line);
-        self.0.push('\n');
-    }
-
-    fn flush(&self) {
-        let _ = std::fs::create_dir_all("target");
-        if let Err(e) = std::fs::write(LOG_PATH, &self.0) {
-            eprintln!("[stream_smoke] could not write {LOG_PATH}: {e}");
-        } else {
-            eprintln!("[stream_smoke] wrote {LOG_PATH}");
-        }
-    }
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
 
 fn ingest_body(session: &str, events: &[StreamEvent], score: bool) -> String {
     let evs: Vec<String> = events
@@ -154,7 +109,7 @@ fn main() {
     }
     cohortnet_obs::init_from_env();
     let fast_mode = fast();
-    let mut log = SmokeLog(String::new());
+    let mut log = SmokeLog::new("stream_smoke", LOG_PATH);
 
     log.say("training demo model...");
     let bundle = demo::demo_bundle();
@@ -186,7 +141,7 @@ fn main() {
         let mut sent = 0usize;
         while sent < events.len() {
             let chunk = (events.len() - sent).min(5);
-            let (status, body) = request(
+            let (status, body) = call(
                 addr,
                 "POST",
                 "/ingest",
@@ -195,11 +150,11 @@ fn main() {
             assert_eq!(status, 200, "ingest failed: {body}");
             sent += chunk;
             let (status, stream_bytes) =
-                request(addr, "POST", &format!("/sessions/{session}/score"), "");
+                call(addr, "POST", &format!("/sessions/{session}/score"), "");
             assert_eq!(status, 200, "{stream_bytes}");
             let oracle = batch_reference(&events[..sent], &stream_cfg, &loaded.scaler);
             let batch_body = openloop::score_body(&oracle);
-            let (status, batch_bytes) = request(addr, "POST", "/score", &batch_body);
+            let (status, batch_bytes) = call(addr, "POST", "/score", &batch_body);
             assert_eq!(status, 200, "{batch_bytes}");
             assert_eq!(
                 stream_bytes, batch_bytes,
@@ -280,7 +235,7 @@ fn main() {
     );
 
     // The staleness histogram must have observed every inline score.
-    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    let (status, metrics) = call(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     let staleness_p99 = histogram_quantile(&metrics, "cohortnet_stream_staleness_us", 0.99)
         .expect("staleness histogram populated");

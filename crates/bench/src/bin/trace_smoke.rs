@@ -11,33 +11,15 @@
 //! Run: `COHORTNET_TRACE=trace.json cargo run --release -p cohortnet-bench
 //! --bin trace_smoke` (the path defaults to `trace.json` when unset).
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
-
 use cohortnet::config::CohortNetConfig;
 use cohortnet::train::train_cohortnet;
 use cohortnet_bench::openloop;
+use cohortnet_bench::smoke::call;
 use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
 use cohortnet_fleet::{serve_fleet, FleetConfig};
 use cohortnet_models::data::prepare;
 use cohortnet_serve::json::{self, Json};
 use cohortnet_serve::{demo, TransportConfig};
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> u16 {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let head = format!(
-        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    raw.split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line")
-}
 
 fn main() {
     let path = std::env::var("COHORTNET_TRACE").unwrap_or_else(|_| "trace.json".to_string());
@@ -155,8 +137,9 @@ fn main() {
         },
     )
     .expect("fleet starts");
-    let status = post(
+    let (status, _) = call(
         fleet.addr(),
+        "POST",
         "/score",
         &openloop::score_body(&bundle.examples[0]),
     );

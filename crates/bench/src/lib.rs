@@ -19,6 +19,7 @@ pub mod datasets;
 pub mod openloop;
 pub mod registry;
 pub mod report;
+pub mod smoke;
 
 /// Reads `COHORTNET_SCALE`.
 pub fn scale() -> f32 {

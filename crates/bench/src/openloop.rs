@@ -26,7 +26,7 @@ use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use cohortnet::infer::ScoreRequest;
-use cohortnet_serve::client::try_parse_response;
+use cohortnet_serve::client::{self, try_parse_response};
 use cohortnet_serve::json::{self, Json};
 use cohortnet_serve::reactor::{Event, Interest, Poller};
 use rand::{Rng, SeedableRng, StdRng};
@@ -133,17 +133,7 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
 
 /// Renders a one-instance `/score` body for a demo example.
 pub fn score_body(e: &ScoreRequest) -> String {
-    let join = |v: &[f32]| {
-        v.iter()
-            .map(|x| format!("{x}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!(
-        "{{\"instances\":[{{\"x\":[{}],\"mask\":[{}]}}]}}",
-        join(&e.x),
-        join(&e.mask)
-    )
+    client::score_body(std::slice::from_ref(e))
 }
 
 /// Renders the standard BENCH json object for one run, including the

@@ -8,9 +8,10 @@
 //! then runs [`CohortNetModel::forward_with`] — the same definition training
 //! records on a tape — on [`Eager`], which computes values without a graph
 //! and borrows weights from the store. The int8 trunk is not a separate
-//! forward: [`crate::quant::QuantInferencer`] compiles the same model with a
-//! [`QuantWeights`] lookup, and the executor swaps `x · W` to the int8
-//! kernel for every trunk weight found there.
+//! forward or a separate type: the same `Inferencer` compiled with a
+//! [`QuantWeights`] lookup ([`crate::snapshot::LoadedModel::scorer`],
+//! [`crate::quant::QuantInferencer`]) has the executor swap `x · W` to the
+//! int8 kernel for every trunk weight found there.
 //!
 //! Two contracts, both test-enforced:
 //!
@@ -146,7 +147,8 @@ impl Inferencer {
     }
 
     /// Whether the MFLM trunk runs the int8 quantized kernels (`true` only
-    /// for inferencers compiled through [`crate::quant::QuantInferencer`]).
+    /// for inferencers compiled with a quant table, as
+    /// [`crate::snapshot::LoadedModel::scorer`] does for `quant = true`).
     pub fn quantized(&self) -> bool {
         self.quant.is_some()
     }

@@ -65,7 +65,7 @@ pub use crlm::{Cohort, CohortPool};
 pub use index::{CohortIndex, IndexCache};
 pub use infer::Inferencer;
 pub use model::CohortNetModel;
-pub use quant::{QuantInferencer, QuantTable, Scorer};
+pub use quant::{QuantInferencer, QuantTable};
 pub use snapshot::{load_snapshot, save_snapshot, save_snapshot_quant, LoadedModel, SnapshotError};
 pub use stream::{batch_reference, StreamConfig, StreamError, StreamEvent, StreamSession};
 pub use train::{train_cohortnet, train_without_cohorts, TrainedCohortNet};

@@ -1,6 +1,7 @@
 //! Int8 quantized inference: trunk-weight quantization tables, the snapshot
-//! `quant` section payload, and the [`QuantInferencer`] / [`Scorer`] types
-//! the serving stack runs behind `--quant`.
+//! `quant` section payload, and [`QuantInferencer`]. The serving stack runs
+//! behind `--quant` a plain [`Inferencer`] compiled with the table
+//! ([`crate::snapshot::LoadedModel::scorer`]).
 //!
 //! ## What gets quantized
 //!
@@ -305,36 +306,6 @@ impl QuantInferencer {
     /// See [`Inferencer::score_requests_parallel`].
     pub fn score_requests_parallel(&self, reqs: &[ScoreRequest], n_threads: usize) -> ScoreOutput {
         self.inner.score_requests_parallel(reqs, n_threads)
-    }
-}
-
-/// The scoring engine's model handle: the f32 path or the quantized path,
-/// behind one API so the serving stack is precision-agnostic.
-#[derive(Debug, Clone)]
-pub enum Scorer {
-    /// Bit-identical-to-training f32 inference.
-    F32(Inferencer),
-    /// Int8 trunk inference (snapshot-anchored reproducibility).
-    Quant(QuantInferencer),
-}
-
-impl Scorer {
-    /// The underlying inferencer, whichever precision it carries.
-    pub fn inferencer(&self) -> &Inferencer {
-        match self {
-            Scorer::F32(inf) => inf,
-            Scorer::Quant(q) => q.as_inferencer(),
-        }
-    }
-
-    /// Whether this scorer runs the int8 trunk.
-    pub fn quantized(&self) -> bool {
-        matches!(self, Scorer::Quant(_))
-    }
-
-    /// See [`Inferencer::score_requests_parallel`].
-    pub fn score_requests_parallel(&self, reqs: &[ScoreRequest], n_threads: usize) -> ScoreOutput {
-        self.inferencer().score_requests_parallel(reqs, n_threads)
     }
 }
 

@@ -54,13 +54,14 @@ use crate::export::{pool_from_str, pool_to_string, PoolParseError};
 use crate::index::Fnv1a64;
 use crate::infer::Inferencer;
 use crate::model::CohortNetModel;
-use crate::quant::{QuantInferencer, QuantParseError, QuantTable, Scorer};
+use crate::quant::{QuantInferencer, QuantParseError, QuantTable};
 use cohortnet_ehr::standardize::{ScalerParseError, Standardizer};
 use cohortnet_obs::obs_warn;
 use cohortnet_tensor::checkpoint::{load_params, save_params, CheckpointError};
 use cohortnet_tensor::{Matrix, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::Hasher;
@@ -112,25 +113,34 @@ impl LoadedModel {
     /// with the same pure function (identical result for a fixed snapshot
     /// either way — the stored section just skips the work).
     pub fn quant_inferencer(&self) -> QuantInferencer {
-        match &self.quant {
-            Some(table) => {
-                QuantInferencer::compile(&self.model, &self.params, self.time_steps, table)
-            }
-            None => {
-                let table = QuantTable::build(&self.model, &self.params);
-                QuantInferencer::compile(&self.model, &self.params, self.time_steps, &table)
-            }
+        QuantInferencer::compile(
+            &self.model,
+            &self.params,
+            self.time_steps,
+            &self.quant_table(),
+        )
+    }
+
+    /// The serving stack's model: the [`Inferencer`] with the int8 trunk
+    /// when `quant` is requested ([`Inferencer::quantized`] reports which),
+    /// the f32 one otherwise.
+    pub fn scorer(&self, quant: bool) -> Inferencer {
+        if quant {
+            Inferencer::compile_with_table(
+                &self.model,
+                &self.params,
+                self.time_steps,
+                &self.quant_table(),
+            )
+        } else {
+            self.inferencer()
         }
     }
 
-    /// The serving-stack model handle: quantized trunk when `quant` is
-    /// requested, f32 otherwise.
-    pub fn scorer(&self, quant: bool) -> Scorer {
-        if quant {
-            Scorer::Quant(self.quant_inferencer())
-        } else {
-            Scorer::F32(self.inferencer())
-        }
+    /// The snapshot's stored quant table, or one built from the f32 weights.
+    fn quant_table(&self) -> Cow<'_, QuantTable> {
+        let build = || Cow::Owned(QuantTable::build(&self.model, &self.params));
+        self.quant.as_ref().map_or_else(build, Cow::Borrowed)
     }
 }
 

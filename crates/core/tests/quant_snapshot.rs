@@ -88,7 +88,7 @@ fn snapshot_without_quant_section_loads_and_serves_unchanged() {
     let scorer = loaded.scorer(false);
     assert!(!scorer.quantized());
     let a = in_memory.score_requests(&reqs);
-    let b = scorer.inferencer().score_requests(&reqs);
+    let b = scorer.score_requests(&reqs);
     for (x, y) in a.probs.as_slice().iter().zip(b.probs.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits(), "pre-quant snapshot drifted");
     }
@@ -138,8 +138,8 @@ fn unsupported_scheme_falls_back_to_f32_load() {
     ))
     .expect("plain snapshot loads");
     let (reqs, _) = requests(&prep);
-    let a = loaded.scorer(false).inferencer().score_requests(&reqs);
-    let b = plain.scorer(false).inferencer().score_requests(&reqs);
+    let a = loaded.scorer(false).score_requests(&reqs);
+    let b = plain.scorer(false).score_requests(&reqs);
     for (x, y) in a.probs.as_slice().iter().zip(b.probs.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());
     }
@@ -186,8 +186,8 @@ fn quant_auc_drift_is_within_tolerance() {
     let loaded = load_snapshot(&text).expect("quant snapshot loads");
     let (reqs, labels) = requests(&prep);
 
-    let f32_out = loaded.scorer(false).inferencer().score_requests(&reqs);
-    let q_out = loaded.scorer(true).inferencer().score_requests(&reqs);
+    let f32_out = loaded.scorer(false).score_requests(&reqs);
+    let q_out = loaded.scorer(true).score_requests(&reqs);
 
     let f32_probs = f32_out.probs.as_slice();
     let q_probs = q_out.probs.as_slice();

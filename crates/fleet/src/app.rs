@@ -1,11 +1,15 @@
 //! The fleet router as a [`cohortnet_serve::App`], plus [`serve_fleet`].
 //!
-//! The router runs behind the identical event-loop transport as the
-//! single-model server ([`cohortnet_serve::serve_app`]); what changes is
-//! routing: `/score` dispatches to one of N replica engines, `/healthz`
-//! reports the whole fleet, `/metrics` renders the router's transport
-//! registry plus every replica's registry labeled `replica="<id>"`, and
-//! `POST /admin/reload` hot-swaps the serving snapshot ([`crate::swap`]).
+//! The router runs behind the identical event-loop transport and ops
+//! router as the single-model server ([`cohortnet_serve::serve_app`],
+//! [`cohortnet_serve::ops`]), which answer `/explain`, `/cohorts`, the
+//! debug routes and `/shutdown` for it. The router's own routes are
+//! `/score`, which dispatches to one of N replica engines, and
+//! `POST /admin/reload`, which hot-swaps the serving snapshot
+//! ([`crate::swap`]). What it supplies to the shared routes: a `/healthz`
+//! and `/debug/config` that report the whole fleet, a `/metrics` that
+//! renders the router's transport registry plus every replica's registry
+//! labeled `replica="<id>"`, and the served model, swapped on reload.
 //!
 //! ## Zero-drop dispatch
 //!
@@ -24,18 +28,15 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex, RwLock};
 
 use cohortnet::infer::ScoreRequest;
-use cohortnet::quant::Scorer;
-use cohortnet::snapshot::{fnv64, load_snapshot, LoadedModel, SNAPSHOT_VERSION};
+use cohortnet::snapshot::{fnv64, load_snapshot, SNAPSHOT_VERSION};
 use cohortnet_obs::obs_info;
 use cohortnet_serve::http::Request;
 use cohortnet_serve::json::{self, obj, Json};
 use cohortnet_serve::metrics::Metrics;
-use cohortnet_serve::server::{
-    cohorts_json, debug_requests_body, debug_trace_body, error_body, explain_response,
-    parse_score_body, score_rows_response, shutdown_body,
-};
+use cohortnet_serve::ops::on;
+use cohortnet_serve::server::{error_body, parse_score_body, score_rows_response};
 use cohortnet_serve::{
-    serve_app, App, AppResponse, Engine, EngineConfig, EngineError, Server, ServerCtl,
+    serve_app, App, AppResponse, Engine, EngineConfig, EngineError, ServedModel, Server, ServerCtl,
     TransportConfig,
 };
 
@@ -84,20 +85,12 @@ impl Default for FleetConfig {
     }
 }
 
-/// The immutable serving model: swapped wholesale on reload.
-pub(crate) struct ModelState {
-    /// The loaded snapshot (discovery artefacts, scaler, fingerprint).
-    pub(crate) loaded: LoadedModel,
-    /// The compiled scorer every replica engine shares.
-    pub(crate) scorer: Arc<Scorer>,
-    /// Whether `scorer` is the quantized path.
-    pub(crate) quant: bool,
-}
-
 /// The fleet router.
 pub struct FleetApp {
     pub(crate) pool: ReplicaPool,
-    pub(crate) model: RwLock<Arc<ModelState>>,
+    /// The serving model, swapped wholesale on reload; every replica
+    /// engine shares its inferencer.
+    pub(crate) model: RwLock<Arc<ServedModel>>,
     pub(crate) engine_cfg: EngineConfig,
     pub(crate) router_metrics: Arc<Metrics>,
     /// First [`CANARY_CAP`] score requests seen, for reload verification.
@@ -109,11 +102,6 @@ pub struct FleetApp {
 }
 
 impl FleetApp {
-    /// The current model state (an `Arc` clone).
-    pub(crate) fn model(&self) -> Arc<ModelState> {
-        Arc::clone(&self.model.read().expect("fleet model poisoned"))
-    }
-
     fn capture_canaries(&self, reqs: &[ScoreRequest]) {
         let mut c = self.canaries.lock().expect("fleet canaries poisoned");
         for r in reqs {
@@ -211,6 +199,39 @@ impl FleetApp {
             .unwrap_or_else(|| "no replica available".to_string());
         AppResponse::json(503, error_body(&msg))
     }
+}
+
+fn row_shutting_down(row: &Result<cohortnet_serve::RowScore, EngineError>) -> bool {
+    matches!(row, Err(EngineError::ShuttingDown))
+}
+
+/// The consistent-hash key: FNV over the body's top-level `patient_id`
+/// (string or number), `None` when absent.
+fn patient_key(doc: &Json) -> Option<u64> {
+    let pid = doc.get("patient_id")?;
+    if let Some(s) = pid.as_str() {
+        Some(fnv64(s.as_bytes()))
+    } else {
+        pid.as_f64().map(|v| fnv64(v.to_string().as_bytes()))
+    }
+}
+
+impl App for FleetApp {
+    fn route(&self, req: &Request) -> Option<AppResponse> {
+        match req.path.as_str() {
+            "/score" => Some(on(req, "POST", || self.handle_score(req))),
+            "/admin/reload" => Some(on(req, "POST", || {
+                let (status, body) = self.handle_reload(&req.body);
+                AppResponse::json(status, body)
+            })),
+            _ => None,
+        }
+    }
+
+    /// The current serving model (an `Arc` clone).
+    fn model(&self) -> Arc<ServedModel> {
+        Arc::clone(&self.model.read().expect("fleet model poisoned"))
+    }
 
     fn healthz_body(&self) -> String {
         let model = self.model();
@@ -238,7 +259,7 @@ impl FleetApp {
                 "snapshot_fingerprint",
                 Json::Str(model.loaded.fingerprint_hex()),
             ),
-            ("quant", Json::Bool(model.quant)),
+            ("quant", Json::Bool(model.inferencer.quantized())),
             (
                 "reloads",
                 Json::Num(self.reloads.load(std::sync::atomic::Ordering::Relaxed) as f64),
@@ -248,9 +269,6 @@ impl FleetApp {
         ]))
     }
 
-    /// The `GET /debug/config` body for the router: resolved fleet and
-    /// engine knobs, the serving fingerprint, kernel path and
-    /// observability state — the fleet twin of the single server's view.
     fn debug_config_body(&self, ctl: &ServerCtl<'_>) -> String {
         let model = self.model();
         json::render(&obj(vec![
@@ -265,7 +283,7 @@ impl FleetApp {
                 "simd_backend",
                 Json::Str(cohortnet_tensor::simd::active().name().into()),
             ),
-            ("quant", Json::Bool(model.quant)),
+            ("quant", Json::Bool(model.inferencer.quantized())),
             ("max_batch", Json::Num(self.engine_cfg.max_batch as f64)),
             (
                 "max_delay_us",
@@ -292,71 +310,12 @@ impl FleetApp {
     /// every replica's registry labeled `replica="<id>"`. Family HELP/TYPE
     /// headers repeat per replica — fine for this repo's test consumers,
     /// though a strict exposition parser would want them merged.
-    fn metrics_body(&self) -> String {
+    fn metrics_text(&self) -> String {
         let mut out = self.router_metrics.render_prometheus();
         for r in self.pool.replicas() {
             out.push_str(&r.metrics.render_labeled("replica", &r.id.to_string()));
         }
         out
-    }
-}
-
-fn row_shutting_down(row: &Result<cohortnet_serve::RowScore, EngineError>) -> bool {
-    matches!(row, Err(EngineError::ShuttingDown))
-}
-
-/// The consistent-hash key: FNV over the body's top-level `patient_id`
-/// (string or number), `None` when absent.
-fn patient_key(doc: &Json) -> Option<u64> {
-    let pid = doc.get("patient_id")?;
-    if let Some(s) = pid.as_str() {
-        Some(fnv64(s.as_bytes()))
-    } else {
-        pid.as_f64().map(|v| fnv64(v.to_string().as_bytes()))
-    }
-}
-
-impl App for FleetApp {
-    fn handle(&self, req: &Request, ctl: &ServerCtl<'_>) -> AppResponse {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/score") => self.handle_score(req),
-            ("POST", "/explain") => {
-                let model = self.model();
-                let (status, body) =
-                    explain_response(&model.loaded, model.scorer.inferencer(), &req.body);
-                AppResponse::json(status, body)
-            }
-            ("GET", "/cohorts") => AppResponse::json(200, cohorts_json(&self.model().loaded)),
-            ("GET", "/healthz") => AppResponse::json(200, self.healthz_body()),
-            ("GET", "/debug/requests") => {
-                AppResponse::json(200, debug_requests_body(ctl.flight(), &req.query))
-            }
-            ("GET", "/debug/config") => AppResponse::json(200, self.debug_config_body(ctl)),
-            ("GET", "/debug/trace") => AppResponse::json(200, debug_trace_body(&req.query)),
-            ("GET", "/metrics") => AppResponse {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: self.metrics_body(),
-                close: false,
-            },
-            ("POST", "/admin/reload") => {
-                let (status, body) = self.handle_reload(&req.body);
-                AppResponse::json(status, body)
-            }
-            ("POST", "/shutdown") => {
-                ctl.request_stop();
-                AppResponse::json(200, shutdown_body()).closing()
-            }
-            (_, "/score" | "/explain" | "/admin/reload" | "/shutdown") => {
-                AppResponse::json(405, error_body("use POST for this endpoint"))
-            }
-            (
-                _,
-                "/cohorts" | "/healthz" | "/metrics" | "/debug/requests" | "/debug/config"
-                | "/debug/trace",
-            ) => AppResponse::json(405, error_body("use GET for this endpoint")),
-            _ => AppResponse::json(404, error_body("unknown endpoint")),
-        }
     }
 
     fn on_drained(&self) {
@@ -366,7 +325,7 @@ impl App for FleetApp {
     }
 }
 
-/// Parses the snapshot, builds one shared scorer and `cfg.replicas`
+/// Parses the snapshot, compiles one shared inferencer and `cfg.replicas`
 /// engines around it, and starts the router on the event-loop transport.
 ///
 /// # Errors
@@ -375,15 +334,15 @@ impl App for FleetApp {
 pub fn serve_fleet(snapshot_text: &str, cfg: FleetConfig) -> std::io::Result<Server> {
     let loaded = load_snapshot(snapshot_text)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let scorer = Arc::new(loaded.scorer(cfg.quant));
+    let inferencer = Arc::new(loaded.scorer(cfg.quant));
     let fingerprint = loaded.fingerprint;
     let n = cfg.replicas.max(1);
     let replicas: Vec<Arc<Replica>> = (0..n)
         .map(|id| {
             let metrics = Arc::new(Metrics::new());
             metrics.set_build_info(cohortnet_tensor::simd::active().name(), cfg.quant);
-            let engine = Arc::new(Engine::start_shared(
-                Arc::clone(&scorer),
+            let engine = Arc::new(Engine::start(
+                Arc::clone(&inferencer),
                 cfg.engine,
                 Arc::clone(&metrics),
             ));
@@ -394,11 +353,7 @@ pub fn serve_fleet(snapshot_text: &str, cfg: FleetConfig) -> std::io::Result<Ser
     router_metrics.set_build_info(cohortnet_tensor::simd::active().name(), cfg.quant);
     let app = Arc::new(FleetApp {
         pool: ReplicaPool::new(replicas, cfg.policy),
-        model: RwLock::new(Arc::new(ModelState {
-            loaded,
-            scorer,
-            quant: cfg.quant,
-        })),
+        model: RwLock::new(Arc::new(ServedModel { loaded, inferencer })),
         engine_cfg: cfg.engine,
         router_metrics: Arc::clone(&router_metrics),
         canaries: Mutex::new(Vec::new()),

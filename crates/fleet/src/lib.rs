@@ -5,8 +5,9 @@
 //! single-model server runs on, via [`cohortnet_serve::serve_app`]) and
 //! dispatches scoring requests to N in-process replica engines — each its
 //! own micro-batching [`cohortnet_serve::Engine`] with its own metrics
-//! registry, all sharing one immutable [`cohortnet::quant::Scorer`] so the
-//! fleet costs one model's memory, not N.
+//! registry, all sharing one immutable compiled
+//! [`cohortnet::infer::Inferencer`] so the fleet costs one model's memory,
+//! not N.
 //!
 //! * [`health`] — the per-replica health state machine. Faults are derived
 //!   from the replica's own serving counters (engine restarts, batch
@@ -23,11 +24,12 @@
 //!   artifact (plain or quant) in the background, verify its checksums,
 //!   score a canary set captured from live traffic (optionally requiring
 //!   bit-identity against the serving model), then flip each replica to
-//!   the new scorer one at a time, draining the old engine.
+//!   the new inferencer one at a time, draining the old engine.
 //! * [`app`] — the [`cohortnet_serve::App`] implementation wiring the
-//!   above behind `/score`, `/explain`, `/cohorts`, `/healthz`,
-//!   `/metrics`, `/admin/reload`, `/shutdown`, plus [`serve_fleet`] and
-//!   the `cohortnet-fleet` CLI.
+//!   above behind `/score` and `/admin/reload`, and supplying the fleet's
+//!   `/healthz`, `/debug/config`, `/metrics` and served model to the
+//!   shared ops routes ([`cohortnet_serve::ops`]), plus [`serve_fleet`]
+//!   and the `cohortnet-fleet` CLI.
 //!
 //! Chaos sites (see `cohortnet-chaos`): `fleet.replica.kill` (argument
 //! selects the victim replica; it is marked dead and its engine shut down

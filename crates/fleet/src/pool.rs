@@ -3,7 +3,7 @@
 //! Each [`Replica`] owns a micro-batching [`Engine`] behind an `RwLock` —
 //! the lock is only written during a hot-swap flip, so the dispatch path
 //! pays one uncontended read-lock clone per request. All replicas share
-//! one immutable [`cohortnet::quant::Scorer`] `Arc`, so N replicas cost
+//! one immutable [`cohortnet::infer::Inferencer`] `Arc`, so N replicas cost
 //! one model's memory; what each replica duplicates is the *serving*
 //! machinery (queue, batcher thread, metrics registry), which is exactly
 //! the part that fails independently and is worth isolating.

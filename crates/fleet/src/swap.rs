@@ -11,13 +11,13 @@
 //!    section checksum; any mismatch is a typed `422` and the old model
 //!    keeps serving.
 //! 4. **Canary.** Score the canary set (first requests captured from live
-//!    traffic) through the candidate scorer via the *same* row-extraction
+//!    traffic) through the candidate inferencer via the *same* row-extraction
 //!    and JSON-rendering path the engines use. Out-of-range or non-finite
 //!    probabilities reject the artifact. With `require_identical: true`
 //!    the rendered canary bytes must equal the live model's — the
 //!    bit-identity contract for config-only or re-saved artifacts.
 //! 5. **Flip.** Replica by replica: start a fresh engine on the new
-//!    shared scorer, swap it in behind the replica's `RwLock`, then drain
+//!    shared inferencer, swap it in behind the replica's `RwLock`, then drain
 //!    the old engine ([`cohortnet_serve::Engine::shutdown`] finishes
 //!    queued requests). Requests that race a drain re-dispatch
 //!    ([`crate::app`]); clients never see the swap.
@@ -27,13 +27,14 @@
 
 use std::sync::Arc;
 
+use cohortnet::infer::{Inferencer, ScoreRequest};
 use cohortnet::snapshot::load_snapshot;
 use cohortnet_obs::obs_info;
 use cohortnet_serve::json::{self, obj, Json};
 use cohortnet_serve::server::{error_body, score_rows_response};
-use cohortnet_serve::{Engine, EngineError, RowScore};
+use cohortnet_serve::{App, Engine, EngineError, RowScore, ServedModel};
 
-use crate::app::{FleetApp, ModelState, LOG};
+use crate::app::{FleetApp, LOG};
 use crate::health::HealthState;
 
 /// Chaos site: corrupt the reload artifact between read and parse. The
@@ -57,7 +58,7 @@ impl FleetApp {
         let quant = parsed
             .get("quant")
             .and_then(Json::as_bool)
-            .unwrap_or(live.quant);
+            .unwrap_or(live.inferencer.quantized());
         let require_identical = parsed
             .get("require_identical")
             .and_then(Json::as_bool)
@@ -74,7 +75,7 @@ impl FleetApp {
             Ok(l) => l,
             Err(e) => return (422, error_body(&format!("snapshot rejected: {e}"))),
         };
-        let scorer = Arc::new(loaded.scorer(quant));
+        let inferencer = Arc::new(loaded.scorer(quant));
 
         // Canary: candidate scores must be sane, and — when demanded —
         // bit-identical to the serving model's rendered responses.
@@ -84,7 +85,7 @@ impl FleetApp {
             .expect("fleet canaries poisoned")
             .clone();
         if !canaries.is_empty() {
-            let rows = render_rows(&scorer, &canaries);
+            let rows = render_rows(&inferencer, &canaries);
             for row in &rows {
                 let Ok(score) = row else { unreachable!() };
                 if score
@@ -100,7 +101,7 @@ impl FleetApp {
             }
             if require_identical {
                 let (_, new_body) = score_rows_response(&rows);
-                let (_, live_body) = score_rows_response(&render_rows(&live.scorer, &canaries));
+                let (_, live_body) = score_rows_response(&render_rows(&live.inferencer, &canaries));
                 if new_body != live_body {
                     return (
                         409,
@@ -120,8 +121,8 @@ impl FleetApp {
             if replica.health_state() == HealthState::Dead {
                 continue;
             }
-            let fresh = Arc::new(Engine::start_shared(
-                Arc::clone(&scorer),
+            let fresh = Arc::new(Engine::start(
+                Arc::clone(&inferencer),
                 self.engine_cfg,
                 Arc::clone(&replica.metrics),
             ));
@@ -131,11 +132,8 @@ impl FleetApp {
             swapped += 1;
         }
         let fingerprint_hex = loaded.fingerprint_hex();
-        *self.model.write().expect("fleet model poisoned") = Arc::new(ModelState {
-            loaded,
-            scorer,
-            quant,
-        });
+        *self.model.write().expect("fleet model poisoned") =
+            Arc::new(ServedModel { loaded, inferencer });
         self.reloads
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         obs_info!(
@@ -160,13 +158,10 @@ impl FleetApp {
     }
 }
 
-/// Scores `reqs` through a bare scorer and wraps each row exactly as the
-/// engines do, so [`score_rows_response`] renders comparable bytes.
-fn render_rows(
-    scorer: &cohortnet::quant::Scorer,
-    reqs: &[cohortnet::infer::ScoreRequest],
-) -> Vec<Result<RowScore, EngineError>> {
-    let out = scorer.score_requests_parallel(reqs, 1);
+/// Scores `reqs` through a bare inferencer and wraps each row exactly as
+/// the engines do, so [`score_rows_response`] renders comparable bytes.
+fn render_rows(inf: &Inferencer, reqs: &[ScoreRequest]) -> Vec<Result<RowScore, EngineError>> {
+    let out = inf.score_requests_parallel(reqs, 1);
     (0..reqs.len())
         .map(|r| Ok(RowScore::from_output(&out, r)))
         .collect()

@@ -1,10 +1,11 @@
 //! Per-request stage attribution.
 //!
 //! A [`StageTimings`] splits one request's wall time into the pipeline
-//! stages it actually crossed: socket read+parse, dispatch-queue wait,
-//! engine batch assembly, batch compute, the hand-off from the batcher back
-//! to the waiting worker, response render, and socket write — plus the
-//! batch size and (in a fleet) the serving replica.
+//! stages it actually crossed: socket read+parse, dispatch-queue wait, the
+//! app's own work (routing, body parse, response encode), engine batch
+//! assembly, batch compute, the hand-off from the batcher back to the
+//! waiting worker, response render, and socket write — plus the batch size
+//! and (in a fleet) the serving replica.
 //!
 //! Assembly is a per-thread scratch slot: the worker thread owning the
 //! request calls [`begin`] when it picks the job up, stages called
@@ -19,16 +20,19 @@ use std::cell::Cell;
 
 /// Where one request's time went, in microseconds per stage.
 ///
-/// `accept_us + queue_us + batch_wait_us + compute_us + handoff_us +
-/// render_us + write_us` accounts for (nearly all of) the request's total
-/// server-side latency; the remainder is the worker's own bookkeeping
-/// between stages (routing, body parse, flight recording).
+/// `accept_us + queue_us + app_us + batch_wait_us + compute_us +
+/// handoff_us + render_us + write_us` accounts for (nearly all of) the
+/// request's total server-side latency; the remainder is the worker's own
+/// bookkeeping between stages (span and log records, flight recording).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageTimings {
     /// First byte of the request on the socket → request fully parsed.
     pub accept_us: u32,
     /// Parsed job pushed on the dispatch queue → picked up by a worker.
     pub queue_us: u32,
+    /// The app's own work on the worker: its handler's wall time less the
+    /// engine stages inside it (routing, body parse, response encode).
+    pub app_us: u32,
     /// Engine enqueue → micro-batch assembled and compute started.
     pub batch_wait_us: u32,
     /// Batch compute (scorer) duration for this request's batch.
@@ -51,6 +55,7 @@ impl Default for StageTimings {
         StageTimings {
             accept_us: 0,
             queue_us: 0,
+            app_us: 0,
             batch_wait_us: 0,
             compute_us: 0,
             handoff_us: 0,
@@ -67,6 +72,7 @@ impl StageTimings {
     pub fn stage_sum_us(&self) -> u64 {
         self.accept_us as u64
             + self.queue_us as u64
+            + self.app_us as u64
             + self.batch_wait_us as u64
             + self.compute_us as u64
             + self.handoff_us as u64
@@ -103,6 +109,7 @@ thread_local! {
         Cell::new(StageTimings {
             accept_us: 0,
             queue_us: 0,
+            app_us: 0,
             batch_wait_us: 0,
             compute_us: 0,
             handoff_us: 0,
@@ -148,6 +155,22 @@ pub fn note_handoff(handoff_us: u32) {
         t.handoff_us = handoff_us;
         s.set(t);
     });
+}
+
+/// Stamps the app stage from the handler's wall time `handle_us`: what is
+/// left after the engine stages stamped inside the handler (batch wait,
+/// compute, hand-off), saturating at 0. Returns the stamped value.
+pub fn note_app(handle_us: u32) -> u32 {
+    SCRATCH.with(|s| {
+        let mut t = s.get();
+        let engine = t
+            .batch_wait_us
+            .saturating_add(t.compute_us)
+            .saturating_add(t.handoff_us);
+        t.app_us = handle_us.saturating_sub(engine);
+        s.set(t);
+        t.app_us
+    })
 }
 
 /// Stamps the serving replica (fleet router only).
@@ -200,6 +223,7 @@ mod tests {
             StageTimings {
                 accept_us: 10,
                 queue_us: 20,
+                app_us: 0,
                 batch_wait_us: 30,
                 compute_us: 40,
                 handoff_us: 0,
@@ -227,6 +251,39 @@ mod tests {
             !t.server_timing_value().contains("handoff"),
             "the Server-Timing format is unchanged"
         );
+    }
+
+    #[test]
+    fn app_is_the_handler_less_its_engine_stages_summed_and_reset_by_take() {
+        begin(10, 20);
+        note_engine(30, 40, 1);
+        note_handoff(25);
+        assert_eq!(
+            note_app(150),
+            55,
+            "handler time less wait, compute, hand-off"
+        );
+        note_render(5);
+        let t = take();
+        assert_eq!(t.app_us, 55);
+        assert_eq!(
+            t.stage_sum_us(),
+            185,
+            "the app stage counts in the stage sum"
+        );
+        assert_eq!(take().app_us, 0, "take resets the app stage");
+        assert!(
+            !t.server_timing_value().contains("app"),
+            "the Server-Timing format is unchanged"
+        );
+        begin(0, 0);
+        note_engine(100, 0, 0);
+        assert_eq!(
+            note_app(60),
+            0,
+            "saturates when the engine outlasts the clock"
+        );
+        take();
     }
 
     #[test]

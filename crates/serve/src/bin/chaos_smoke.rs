@@ -31,10 +31,11 @@ use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use cohortnet::infer::ScoreRequest;
 use cohortnet::snapshot::load_snapshot;
 use cohortnet_chaos::{install, request_fault, ChaosPlan, RequestFault, When};
-use cohortnet_serve::client::{read_response, request, request_with_retry, RetryPolicy};
+use cohortnet_serve::client::{
+    read_response, request, request_with_retry, score_body, RetryPolicy,
+};
 use cohortnet_serve::http::MAX_BODY_BYTES;
 use cohortnet_serve::{demo, serve, EngineConfig, Server, ServerConfig};
 
@@ -49,22 +50,6 @@ const WALL_BUDGET: Duration = Duration::from_secs(120);
 /// Bound on any single raw-socket read, so a server that stops answering
 /// fails the run instead of wedging it.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
-
-fn join(values: &[f32]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{v}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn score_body(e: &ScoreRequest) -> String {
-    format!(
-        "{{\"instances\":[{{\"x\":[{}],\"mask\":[{}]}}]}}",
-        join(&e.x),
-        join(&e.mask)
-    )
-}
 
 /// The per-request fault schedule — pure in `(seed, index)`.
 fn fault_for(seed: u64, i: u64) -> RequestFault {
@@ -149,7 +134,10 @@ fn main() {
     eprintln!("chaos-smoke: training demo model...");
     let bundle = demo::demo_bundle();
     let bodies: Vec<String> = (0..N_REQUESTS)
-        .map(|i| score_body(&bundle.examples[(i as usize) % bundle.examples.len()]))
+        .map(|i| {
+            let e = &bundle.examples[(i as usize) % bundle.examples.len()];
+            score_body(std::slice::from_ref(e))
+        })
         .collect();
 
     // ---------------------------------------------------- reference pass

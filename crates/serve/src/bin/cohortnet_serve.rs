@@ -8,119 +8,60 @@
 
 use cohortnet::snapshot::load_snapshot;
 use cohortnet_obs::obs_info;
-use cohortnet_serve::{demo, serve, serve_stream, EngineConfig, ServerConfig, StreamOptions};
+use cohortnet_serve::cli::{Cli, SHARED_USAGE};
+use cohortnet_serve::{demo, serve, serve_stream, ServerConfig, StreamOptions};
 
 /// Log target for server-lifecycle events.
 const LOG: &str = "cohortnet.serve.bin";
 
 struct Args {
+    /// The snapshot to serve; `None` trains the demo model.
     snapshot: Option<String>,
-    demo: bool,
     demo_snapshot: Option<String>,
     server: ServerConfig,
     stream: bool,
     stream_opts: StreamOptions,
 }
 
-fn usage() -> ! {
-    eprintln!(
+fn parse_args() -> Args {
+    let mut cli = Cli::new(format!(
         "usage: cohortnet-serve (--snapshot PATH | --demo | --demo-snapshot PATH)\n\
-         \x20        [--port N (default 8080)] [--max-batch N (default 16)]\n\
-         \x20        [--max-delay-us N (default 0: dispatch as soon as the batcher is free)]\n\
-         \x20        [--threads N (default 0 = all cores)]\n\
-         \x20        [--deadline-ms N (default 0 = no queue deadline)]\n\
-         \x20        [--read-timeout-ms N (default 0 = built-in 10s)]\n\
-         \x20        [--idle-timeout-ms N (default 0 = built-in 30s keep-alive idle close)]\n\
-         \x20        [--max-connections N (default 256, 0 = unlimited)]\n\
-         \x20        [--workers N (default 0 = built-in 16 request workers)]\n\
-         \x20        [--quant (serve the int8 quantized trunk; default f32)]\n\
+         {SHARED_USAGE}\n\
          \x20        [--stream (enable POST /ingest event-stream sessions)]\n\
          \x20        [--horizon-hours N (default 48, stream window span)]\n\
          \x20        [--session-idle-ms N (default 0 = built-in 300s idle eviction)]\n\
          \x20        [--max-sessions N (default 0 = built-in 1024 LRU cap)]"
-    );
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        snapshot: None,
-        demo: false,
-        demo_snapshot: None,
-        server: ServerConfig {
-            port: 8080,
-            engine: EngineConfig::default(),
-            ..ServerConfig::default()
-        },
-        stream: false,
-        stream_opts: StreamOptions::default(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
+    ));
+    let mut server = ServerConfig::default();
+    let (mut snapshot, mut demo, mut demo_snapshot, mut stream) = (None, false, None, false);
+    let mut stream_opts = StreamOptions::default();
+    while let Some(flag) = cli.next_flag() {
+        if cli.shared_flag(&flag, &mut server) {
+            continue;
+        }
         match flag.as_str() {
-            "--snapshot" => args.snapshot = Some(value("--snapshot")),
-            "--demo" => args.demo = true,
-            "--demo-snapshot" => args.demo_snapshot = Some(value("--demo-snapshot")),
-            "--port" => args.server.port = parse_num(&value("--port"), "--port"),
-            "--max-batch" => {
-                args.server.engine.max_batch = parse_num(&value("--max-batch"), "--max-batch")
-            }
-            "--max-delay-us" => {
-                args.server.engine.max_delay_us =
-                    parse_num(&value("--max-delay-us"), "--max-delay-us")
-            }
-            "--threads" => args.server.engine.threads = parse_num(&value("--threads"), "--threads"),
-            "--deadline-ms" => {
-                args.server.engine.deadline_ms = parse_num(&value("--deadline-ms"), "--deadline-ms")
-            }
-            "--read-timeout-ms" => {
-                args.server.read_timeout_ms =
-                    parse_num(&value("--read-timeout-ms"), "--read-timeout-ms")
-            }
-            "--idle-timeout-ms" => {
-                args.server.idle_timeout_ms =
-                    parse_num(&value("--idle-timeout-ms"), "--idle-timeout-ms")
-            }
-            "--max-connections" => {
-                args.server.max_connections =
-                    parse_num(&value("--max-connections"), "--max-connections")
-            }
-            "--workers" => args.server.workers = parse_num(&value("--workers"), "--workers"),
-            "--quant" => args.server.quant = true,
-            "--stream" => args.stream = true,
-            "--horizon-hours" => {
-                args.stream_opts.horizon_hours =
-                    parse_num(&value("--horizon-hours"), "--horizon-hours")
-            }
-            "--session-idle-ms" => {
-                args.stream_opts.session_idle_ms =
-                    parse_num(&value("--session-idle-ms"), "--session-idle-ms")
-            }
-            "--max-sessions" => {
-                args.stream_opts.max_sessions =
-                    parse_num(&value("--max-sessions"), "--max-sessions")
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            "--snapshot" => snapshot = Some(cli.value(&flag)),
+            "--demo" => demo = true,
+            "--demo-snapshot" => demo_snapshot = Some(cli.value(&flag)),
+            "--stream" => stream = true,
+            "--horizon-hours" => stream_opts.horizon_hours = cli.num(&flag),
+            "--session-idle-ms" => stream_opts.session_idle_ms = cli.num(&flag),
+            "--max-sessions" => stream_opts.max_sessions = cli.num(&flag),
+            other => cli.unknown(other),
         }
     }
-    args
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, name: &str) -> T {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("{name}: not a number: {text}");
-        usage()
-    })
+    if demo {
+        snapshot = None;
+    } else if snapshot.is_none() && demo_snapshot.is_none() {
+        cli.usage()
+    }
+    Args {
+        snapshot,
+        demo_snapshot,
+        server,
+        stream,
+        stream_opts,
+    }
 }
 
 fn main() {
@@ -138,16 +79,15 @@ fn main() {
         return;
     }
 
-    let text = if args.demo {
-        obs_info!(target: LOG, "training demo model");
-        demo::demo_bundle().snapshot
-    } else if let Some(path) = &args.snapshot {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
+    let text = match &args.snapshot {
+        Some(path) => std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(1)
-        })
-    } else {
-        usage()
+        }),
+        None => {
+            obs_info!(target: LOG, "training demo model");
+            demo::demo_bundle().snapshot
+        }
     };
 
     let loaded = load_snapshot(&text).unwrap_or_else(|e| {

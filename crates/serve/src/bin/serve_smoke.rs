@@ -6,39 +6,16 @@
 use std::net::SocketAddr;
 
 use cohortnet::snapshot::load_snapshot;
-use cohortnet_serve::client::{request_with_retry, RetryPolicy};
+use cohortnet_serve::client::{
+    instance_body, request_with_retry, score_body, Response, RetryPolicy,
+};
 use cohortnet_serve::{demo, serve, EngineConfig, ServerConfig};
 
 /// Fires one HTTP request through the retrying client (capped backoff on
-/// transient 408/429/503) and returns `(status, response head, body)`.
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let resp = request_with_retry(addr, method, path, body, RetryPolicy::default())
-        .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
-    (resp.status, resp.head, resp.body)
-}
-
-/// Extracts a response header value (case-insensitive name) from a raw head.
-fn header<'h>(head: &'h str, name: &str) -> Option<&'h str> {
-    head.lines().find_map(|line| {
-        let (n, v) = line.split_once(':')?;
-        n.trim().eq_ignore_ascii_case(name).then_some(v.trim())
-    })
-}
-
-fn score_body(examples: &[cohortnet::infer::ScoreRequest]) -> String {
-    let instances: Vec<String> = examples
-        .iter()
-        .map(|e| format!("{{\"x\":[{}],\"mask\":[{}]}}", join(&e.x), join(&e.mask)))
-        .collect();
-    format!("{{\"instances\":[{}]}}", instances.join(","))
-}
-
-fn join(values: &[f32]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{v}"))
-        .collect::<Vec<_>>()
-        .join(",")
+/// transient 408/429/503).
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
+    request_with_retry(addr, method, path, body, RetryPolicy::default())
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"))
 }
 
 /// Extracts the rendered prediction objects from a `/score` response body.
@@ -97,7 +74,7 @@ fn main() {
     eprintln!("serve-smoke: serving on {addr}");
 
     // /healthz
-    let (status, _, body) = request(addr, "GET", "/healthz", "");
+    let Response { status, body, .. } = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200, "healthz: {body}");
     assert!(body.contains("\"status\":\"ok\""), "healthz body: {body}");
     assert!(
@@ -111,18 +88,19 @@ fn main() {
         .examples
         .iter()
         .map(|e| {
-            let (status, _, body) =
+            let Response { status, body, .. } =
                 request(addr, "POST", "/score", &score_body(std::slice::from_ref(e)));
             assert_eq!(status, 200, "solo score: {body}");
             predictions(&body).remove(0)
         })
         .collect();
-    let (status, head, body) = request(addr, "POST", "/score", &score_body(&bundle.examples));
-    assert_eq!(status, 200, "batch score: {body}");
+    let batch = request(addr, "POST", "/score", &score_body(&bundle.examples));
+    assert_eq!(batch.status, 200, "batch score: {}", batch.body);
     // Every response carries a request id, and the same id appears in the
     // structured request log.
-    let rid = header(&head, "X-Request-Id")
-        .unwrap_or_else(|| panic!("no X-Request-Id header in: {head}"))
+    let rid = batch
+        .header("X-Request-Id")
+        .unwrap_or_else(|| panic!("no X-Request-Id header in: {}", batch.head))
         .to_string();
     assert!(!rid.is_empty(), "empty X-Request-Id");
     let logged = log_capture.contents();
@@ -130,33 +108,32 @@ fn main() {
         logged.contains(&rid),
         "request id {rid} not found in captured log:\n{logged}"
     );
-    let batched = predictions(&body);
+    let batched = predictions(&batch.body);
     assert_eq!(batched.len(), bundle.examples.len());
     for (i, (s, b)) in solo.iter().zip(&batched).enumerate() {
         assert_eq!(s, b, "instance {i} scored differently alone vs batched");
     }
 
     // /score input validation.
-    let (status, _, body) = request(
+    let Response { status, body, .. } = request(
         addr,
         "POST",
         "/score",
         "{\"instances\":[{\"x\":[1],\"mask\":[1]}]}",
     );
     assert_eq!(status, 400, "short instance must be rejected: {body}");
-    let (status, _, _) = request(addr, "POST", "/score", "not json");
+    let Response { status, .. } = request(addr, "POST", "/score", "not json");
     assert_eq!(status, 400);
 
     // /explain
-    let e = &bundle.examples[0];
-    let explain_body = format!("{{\"x\":[{}],\"mask\":[{}]}}", join(&e.x), join(&e.mask));
-    let (status, _, body) = request(addr, "POST", "/explain", &explain_body);
+    let explain_body = instance_body(&bundle.examples[0]);
+    let Response { status, body, .. } = request(addr, "POST", "/explain", &explain_body);
     assert_eq!(status, 200, "explain: {body}");
     assert!(body.contains("\"base_prob\""), "explain body: {body}");
     assert!(body.contains("\"cohorts\""), "explain body: {body}");
 
     // /cohorts
-    let (status, _, body) = request(addr, "GET", "/cohorts", "");
+    let Response { status, body, .. } = request(addr, "GET", "/cohorts", "");
     assert_eq!(status, 200);
     assert!(
         body.contains("\"has_cohorts\":true"),
@@ -164,14 +141,14 @@ fn main() {
     );
 
     // 404 and 405 paths.
-    let (status, _, _) = request(addr, "GET", "/nope", "");
+    let Response { status, .. } = request(addr, "GET", "/nope", "");
     assert_eq!(status, 404);
-    let (status, _, _) = request(addr, "GET", "/score", "");
+    let Response { status, .. } = request(addr, "GET", "/score", "");
     assert_eq!(status, 405);
 
     // /metrics: the unified registry exposes request counters plus the
     // stage histograms (queue wait vs batch compute).
-    let (status, _, body) = request(addr, "GET", "/metrics", "");
+    let Response { status, body, .. } = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     for family in [
         "cohortnet_requests_total",
@@ -187,7 +164,7 @@ fn main() {
     }
 
     // Graceful shutdown.
-    let (status, _, _) = request(addr, "POST", "/shutdown", "");
+    let Response { status, .. } = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     server.join();
     drop(log_capture);

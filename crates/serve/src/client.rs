@@ -21,6 +21,8 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use cohortnet::infer::ScoreRequest;
+
 /// A fully read HTTP response.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -40,6 +42,24 @@ impl Response {
             n.trim().eq_ignore_ascii_case(name).then_some(v.trim())
         })
     }
+}
+
+/// Renders one instance as the `{"x": [...], "mask": [...]}` object
+/// `/explain` takes and `/score` lists, every value in Rust's shortest
+/// round-trip float formatting.
+pub fn instance_body(req: &ScoreRequest) -> String {
+    let join = |v: &[f32]| v.iter().map(f32::to_string).collect::<Vec<_>>().join(",");
+    format!(
+        "{{\"x\":[{}],\"mask\":[{}]}}",
+        join(&req.x),
+        join(&req.mask)
+    )
+}
+
+/// Renders a `/score` body, `{"instances": [...]}`, for `reqs` in order.
+pub fn score_body(reqs: &[ScoreRequest]) -> String {
+    let instances: Vec<String> = reqs.iter().map(instance_body).collect();
+    format!("{{\"instances\":[{}]}}", instances.join(","))
 }
 
 /// Fires one request and reads the full response (the server speaks

@@ -41,7 +41,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cohortnet::infer::{Inferencer, ScoreRequest};
-use cohortnet::quant::Scorer;
 use cohortnet_obs::ctx::TraceCtx;
 use cohortnet_obs::{obs_error, obs_warn, stage};
 
@@ -166,7 +165,7 @@ fn us32(d: Duration) -> u32 {
 }
 
 struct Shared {
-    scorer: Arc<Scorer>,
+    inf: Arc<Inferencer>,
     queue: Mutex<VecDeque<Pending>>,
     cv: Condvar,
     /// Written only under the `queue` lock, so the idle batcher, which
@@ -195,26 +194,20 @@ pub struct Engine {
 
 impl Engine {
     /// Starts the engine (spawns the batcher thread) over a compiled
-    /// inferencer (f32 path).
-    pub fn start(inf: Inferencer, cfg: EngineConfig, metrics: Arc<Metrics>) -> Self {
-        Engine::start_scorer(Scorer::F32(inf), cfg, metrics)
-    }
-
-    /// Starts the engine over either precision path — [`Scorer::F32`] or
-    /// the int8 [`Scorer::Quant`] (the `--quant` serving mode).
-    pub fn start_scorer(scorer: Scorer, cfg: EngineConfig, metrics: Arc<Metrics>) -> Self {
-        Engine::start_shared(Arc::new(scorer), cfg, metrics)
-    }
-
-    /// Starts the engine over an already shared scorer. The fleet router
-    /// runs N replica engines around one compiled [`Scorer`] (and builds a
-    /// fresh engine around the same `Arc` during a hot-swap flip), so the
-    /// compiled weights are never duplicated per replica.
-    pub fn start_shared(scorer: Arc<Scorer>, cfg: EngineConfig, metrics: Arc<Metrics>) -> Self {
+    /// inferencer, f32 or int8 trunk alike. Pass an owned [`Inferencer`],
+    /// or a shared `Arc`: the fleet router runs N replica engines around
+    /// one compiled model (and builds a fresh engine around the same `Arc`
+    /// during a hot-swap flip), so the weights are never duplicated per
+    /// replica.
+    pub fn start(
+        inf: impl Into<Arc<Inferencer>>,
+        cfg: EngineConfig,
+        metrics: Arc<Metrics>,
+    ) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         assert!(cfg.queue_cap >= 1, "queue_cap must be at least 1");
         let shared = Arc::new(Shared {
-            scorer,
+            inf: inf.into(),
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -232,17 +225,6 @@ impl Engine {
         }
     }
 
-    /// The compiled inferencer the engine scores with (the quantized-trunk
-    /// one in `--quant` mode).
-    pub fn inferencer(&self) -> &Inferencer {
-        self.shared.scorer.inferencer()
-    }
-
-    /// Whether the engine scores through the int8 quantized trunk.
-    pub fn quantized(&self) -> bool {
-        self.shared.scorer.quantized()
-    }
-
     /// The engine's metrics registry.
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.shared.metrics
@@ -254,8 +236,7 @@ impl Engine {
     }
 
     fn shape_error(&self, req: &ScoreRequest) -> Option<EngineError> {
-        let s = &self.shared;
-        let inf = s.scorer.inferencer();
+        let inf = &self.shared.inf;
         let want_x = inf.time_steps() * inf.n_features();
         if req.x.len() != want_x {
             return Some(EngineError::BadRequest(format!(
@@ -486,7 +467,7 @@ impl RowScore {
 fn score_batch(s: &Shared, batch: &[Pending]) -> Vec<Reply> {
     let reqs: Vec<ScoreRequest> = batch.iter().map(|p| p.req.clone()).collect();
     let scored = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        s.scorer.score_requests_parallel(&reqs, s.cfg.threads)
+        s.inf.score_requests_parallel(&reqs, s.cfg.threads)
     }));
     match scored {
         Ok(out) => (0..batch.len()).map(|r| Ok(row_score(&out, r))).collect(),
@@ -502,9 +483,7 @@ fn score_batch(s: &Shared, batch: &[Pending]) -> Vec<Reply> {
                 .iter()
                 .map(|p| {
                     let one = std::slice::from_ref(&p.req);
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        s.scorer.inferencer().score_requests(one)
-                    })) {
+                    match std::panic::catch_unwind(AssertUnwindSafe(|| s.inf.score_requests(one))) {
                         Ok(out) => Ok(row_score(&out, 0)),
                         Err(_) => {
                             s.metrics.rows_failed.inc();

@@ -53,6 +53,7 @@ use cohortnet_obs::flight::{FixedStr, FlightRecord};
 use cohortnet_obs::{ctx, obs_info, stage};
 
 use crate::http::{render_response, try_parse_request, HttpError, Request};
+use crate::ops;
 use crate::reactor::{Interest, Poller, WakeReceiver};
 use crate::server::{error_body, next_request_id, AppState, ServerCtl, LOG};
 
@@ -626,10 +627,13 @@ fn worker_loop(state: &Arc<AppState>) {
         span.arg("request_id", &job.rid);
         span.arg("method", &job.req.method)
             .arg("path", &job.req.path);
+        let app_t0 = Instant::now();
         let resp = {
             let _ctx = ctx::scope(ctx0.child(span.id()));
-            state.app.handle(&job.req, &ServerCtl::new(state))
+            ops::handle(&*state.app, &job.req, &ServerCtl::new(state))
         };
+        let app_us = stage::note_app(us32(app_t0.elapsed()));
+        state.metrics.stage_app_us.observe(u64::from(app_us));
         let status = resp.status;
         let close = job.req.close || resp.close;
         let timing;

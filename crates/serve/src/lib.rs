@@ -9,11 +9,10 @@
 //!   into holding a partial batch for company. The determinism
 //!   contract is inherited from the inferencer's row independence: a request
 //!   scores bit-identically alone or inside any batch.
-//! * [`server`] — `POST /score`, `POST /explain`, `GET /cohorts`,
-//!   `GET /healthz`, `GET /metrics`, `GET /debug/{requests,config,trace}`,
-//!   `POST /shutdown`; graceful drain on shutdown. Every request gets
-//!   per-stage latency attribution (accept/queue/batch-wait/compute/
-//!   handoff/render/write) recorded into an always-on flight recorder
+//! * [`server`] — the transport and `POST /score`; graceful drain on
+//!   shutdown. Every request gets per-stage latency attribution
+//!   (accept/queue/app/batch-wait/compute/handoff/render/write) recorded
+//!   into an always-on flight recorder
 //!   ([`cohortnet_obs::flight`]) behind `/debug/requests`, echoed as a
 //!   `Server-Timing` header on `X-Debug-Timing: 1`, and — when tracing is
 //!   on — linked into one connected cross-thread trace via
@@ -22,13 +21,16 @@
 //!   application along the [`server::App`] trait — [`serve`] runs the
 //!   single-model scoring app, [`serve_app`] runs anything else (the
 //!   `cohortnet-fleet` router) behind the identical transport.
+//! * [`ops`] — the one ops router every app runs behind: `POST /explain`,
+//!   `GET /cohorts`, `GET /healthz`, `GET /metrics`,
+//!   `GET /debug/{requests,config,trace}`, `POST /shutdown`, the 405 for a
+//!   wrong method and the final 404; an app routes only its domain paths.
 //! * [`stream`] — event-stream ingestion and online scoring (`POST
 //!   /ingest`, `GET /sessions`): per-admission [`cohortnet::stream`]
 //!   sessions under the prefix-identity contract, re-scored on the worker
 //!   thread through the incremental cohort-index probe cache (never the
-//!   batching engine). The batch surface is delegated to the same scoring
-//!   app, so [`serve_stream`] answers `/score` byte-identically to
-//!   [`serve`].
+//!   batching engine). `/score` is delegated to the same scoring app, so
+//!   [`serve_stream`] answers it byte-identically to [`serve`].
 //! * [`reactor`] — the dependency-free readiness layer under the loop:
 //!   epoll on Linux, poll(2) elsewhere (or via
 //!   `COHORTNET_SERVE_BACKEND=poll`), plus the self-pipe waker. Public so
@@ -41,6 +43,8 @@
 //! * [`client`] — a minimal blocking HTTP client plus a seeded retrying
 //!   wrapper (capped exponential backoff + deterministic jitter), shared by
 //!   the smoke binary, the throughput bench and the chaos harness.
+//! * [`cli`] — the flags, usage lines and error exits the
+//!   `cohortnet-serve` and `cohortnet-fleet` binaries share.
 //! * [`json`] — the minimal JSON parser/renderer the endpoints use.
 //! * [`demo`] — a tiny synthetic-data training run producing a real
 //!   snapshot, shared by the CLI's `--demo` mode, the smoke binary and the
@@ -48,6 +52,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod client;
 pub mod demo;
 pub mod engine;
@@ -55,13 +60,14 @@ mod eventloop;
 pub mod http;
 pub mod json;
 pub mod metrics;
+pub mod ops;
 pub mod reactor;
 pub mod server;
 pub mod stream;
 
 pub use engine::{Engine, EngineConfig, EngineError, RowScore};
 pub use server::{
-    debug_requests_body, debug_trace_body, serve, serve_app, App, AppResponse, Server,
-    ServerConfig, ServerCtl, TransportConfig,
+    serve, serve_app, App, AppResponse, ServedModel, Server, ServerConfig, ServerCtl,
+    TransportConfig,
 };
 pub use stream::{serve_stream, StreamOptions};

@@ -76,6 +76,9 @@ pub struct Metrics {
     pub stage_accept_us: Arc<Histogram>,
     /// Parsed job queued for dispatch → picked up by a worker, µs.
     pub stage_dispatch_wait_us: Arc<Histogram>,
+    /// The app's own work on the worker (routing, body parse, response
+    /// encode), its engine stages excluded, µs.
+    pub stage_app_us: Arc<Histogram>,
     /// Response handed to the event loop → last byte flushed, µs.
     pub stage_write_us: Arc<Histogram>,
     /// End of a batch's compute → the waiting worker woke with the reply,
@@ -200,6 +203,11 @@ impl Metrics {
             stage_dispatch_wait_us: registry.histogram(
                 "cohortnet_stage_dispatch_wait_us",
                 "Dispatch-queue wait before a worker picked the job up, microseconds.",
+                LATENCY_US_BOUNDS,
+            ),
+            stage_app_us: registry.histogram(
+                "cohortnet_stage_app_us",
+                "App work on the worker less its engine stages, microseconds.",
                 LATENCY_US_BOUNDS,
             ),
             stage_write_us: registry.histogram(

@@ -1,17 +1,17 @@
-//! The HTTP scoring server.
+//! The HTTP serving transport and the single-model scoring app.
 //!
-//! Endpoints:
+//! Endpoints of the single-model server ([`serve`]):
 //!
 //! * `POST /score` — body `{"instances": [{"x": [...], "mask": [...]}]}`;
 //!   every instance is a standardized `T x F` grid (row-major) plus an `F`
-//!   presence mask. Returns `{"predictions": [...]}` in input order.
-//! * `POST /explain` — body is one instance; returns the paper's Fig. 9
-//!   decomposition via [`cohortnet::interpret::explain_patient`]. `409`
-//!   when the snapshot has no discovery artefacts.
-//! * `GET /cohorts` — the discovered cohort pool (Table 2 data).
-//! * `GET /healthz` — liveness, model shape and the snapshot fingerprint.
-//! * `GET /metrics` — Prometheus text format.
-//! * `POST /shutdown` — graceful drain: stop accepting, finish queued work.
+//!   presence mask. Returns `{"predictions": [...]}` in input order. This
+//!   is the one route [`ScoreApp`] (private) answers itself.
+//! * The shared ops routes, answered once for every app by
+//!   [`crate::ops`]: `POST /explain` (the paper's Fig. 9 decomposition,
+//!   `409` when the snapshot has no discovery artefacts), `GET /cohorts`
+//!   (Table 2 data), `GET /healthz`, `GET /metrics` (Prometheus text),
+//!   `GET /debug/{requests,config,trace}` and `POST /shutdown` (graceful
+//!   drain: stop accepting, finish queued work).
 //!
 //! The transport is a single-threaded readiness event loop
 //! ([`crate::eventloop`]) over the dependency-free [`crate::reactor`]
@@ -19,14 +19,15 @@
 //! state machines, HTTP/1.1 keep-alive with an idle timeout, and an exact
 //! `max_connections` bound whose over-limit `503`s can never block the
 //! accept path. Complete requests are handed to a small worker pool that
-//! runs the blocking application ([`App`]) and posts rendered responses
-//! back to the loop.
+//! runs the ops router over the blocking application ([`App`]) and posts
+//! rendered responses back to the loop.
 //!
 //! The transport and the application are split along the [`App`] trait:
-//! [`serve`] wires the single-model scoring app ([`ScoreApp`], private)
-//! into [`serve_app`], and the `cohortnet-fleet` crate wires a
-//! multi-replica router into the very same transport — same event loop,
-//! same keep-alive/drain semantics, different routing.
+//! [`serve`] wires the single-model scoring app into [`serve_app`], the
+//! streaming server ([`crate::stream`]) and the `cohortnet-fleet` router
+//! wire theirs into the very same transport — same event loop, same
+//! keep-alive/drain semantics, same ops routes; only the domain routes and
+//! the model behind them differ.
 
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
@@ -36,16 +37,15 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cohortnet::infer::{Inferencer, ScoreRequest};
-use cohortnet::interpret::explain_patient;
 use cohortnet::snapshot::LoadedModel;
-use cohortnet_models::data::{Prepared, PreparedPatient};
-use cohortnet_obs::flight::{FlightRecord, FlightRecorder, FLIGHT_SLOTS};
+use cohortnet_obs::flight::{FlightRecorder, FLIGHT_SLOTS};
 
 use crate::engine::{Engine, EngineConfig, EngineError, RowScore};
 use crate::eventloop::{self, ConnLimiter, Done, JobQueue};
-use crate::http::{query_param, Request};
+use crate::http::Request;
 use crate::json::{self, num_arr, obj, Json};
 use crate::metrics::Metrics;
+use crate::ops::on;
 use crate::reactor::{waker_pair, Interest, Poller, Waker};
 
 /// Log target for request-lifecycle events.
@@ -226,9 +226,10 @@ impl AppResponse {
     }
 }
 
-/// Transport controls handed to [`App::handle`]: an application may ask
-/// the transport to stop (the `POST /shutdown` path) and may read its
-/// flight recorder (the `/debug/requests` path).
+/// Transport controls handed to the ops router and to
+/// [`App::debug_config_body`]: ask the transport to stop (the
+/// `POST /shutdown` path) and read its flight recorder (the `/debug/*`
+/// paths).
 pub struct ServerCtl<'a> {
     stop: &'a AtomicBool,
     waker: &'a Waker,
@@ -258,17 +259,43 @@ impl ServerCtl<'_> {
     }
 }
 
-/// What the transport asks of an application: route one parsed request to
-/// a response. Implemented by this crate's single-model scoring app (via
-/// [`serve`]) and by the `cohortnet-fleet` multi-replica router — both run
-/// behind the identical event-loop transport through [`serve_app`].
+/// The model an app serves: the loaded snapshot (discovery artefacts,
+/// scaler, fingerprint) and the inferencer compiled from it, shared with
+/// the scoring engines.
+pub struct ServedModel {
+    /// The loaded snapshot.
+    pub loaded: LoadedModel,
+    /// The compiled inferencer (int8 trunk when serving `--quant`).
+    pub inferencer: Arc<Inferencer>,
+}
+
+/// What the transport asks of an application. The shared ops routes
+/// (`/healthz`, `/metrics`, `/debug/*`, `/explain`, `/cohorts`,
+/// `/shutdown`) are answered by [`crate::ops`] for every app; an app routes
+/// only its own domain paths and supplies the few bodies that differ.
+/// Implemented by this crate's single-model and streaming apps and by the
+/// `cohortnet-fleet` multi-replica router — all run behind the identical
+/// event-loop transport through [`serve_app`].
 ///
-/// `handle` runs on a worker thread and may block (the scoring engine
-/// does); the event loop itself never calls it.
+/// Every method runs on a worker thread and may block (the scoring engine
+/// does); the event loop itself never calls them.
 pub trait App: Send + Sync + 'static {
-    /// Routes one request. `ctl` lets a shutdown endpoint stop the
-    /// transport.
-    fn handle(&self, req: &Request, ctl: &ServerCtl<'_>) -> AppResponse;
+    /// Answers the app's own domain routes (wrong methods included, via
+    /// [`crate::ops::on`]); `None` hands the request to the ops routes.
+    fn route(&self, req: &Request) -> Option<AppResponse>;
+
+    /// The model `/explain` and `/cohorts` read.
+    fn model(&self) -> Arc<ServedModel>;
+
+    /// The `GET /healthz` body.
+    fn healthz_body(&self) -> String;
+
+    /// The `GET /debug/config` body: every resolved knob, the snapshot
+    /// fingerprint, kernel path and observability state.
+    fn debug_config_body(&self, ctl: &ServerCtl<'_>) -> String;
+
+    /// The `GET /metrics` text, Prometheus format.
+    fn metrics_text(&self) -> String;
 
     /// Called exactly once after the event loop and the worker pool have
     /// drained and joined (from [`Server::shutdown`]/[`Server::join`]):
@@ -443,7 +470,7 @@ pub fn error_body(message: &str) -> String {
 /// else here — so both servers expose the identical batch surface.
 pub(crate) struct ScoreApp {
     pub(crate) engine: Engine,
-    pub(crate) loaded: LoadedModel,
+    pub(crate) model: Arc<ServedModel>,
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) read_timeout: Duration,
     pub(crate) idle_timeout: Duration,
@@ -455,13 +482,13 @@ impl ScoreApp {
     /// the shared plumbing of [`serve`] and [`crate::stream::serve_stream`].
     pub(crate) fn build(loaded: LoadedModel, cfg: &ServerConfig) -> (ScoreApp, Arc<Metrics>) {
         let metrics = Arc::new(Metrics::new());
-        let engine =
-            Engine::start_scorer(loaded.scorer(cfg.quant), cfg.engine, Arc::clone(&metrics));
+        let inferencer = Arc::new(loaded.scorer(cfg.quant));
+        let engine = Engine::start(Arc::clone(&inferencer), cfg.engine, Arc::clone(&metrics));
         metrics.set_build_info(cohortnet_tensor::simd::active().name(), cfg.quant);
         let transport = cfg.transport();
         let app = ScoreApp {
             engine,
-            loaded,
+            model: Arc::new(ServedModel { loaded, inferencer }),
             metrics: Arc::clone(&metrics),
             read_timeout: transport.effective_read_timeout(),
             idle_timeout: transport.effective_idle_timeout(),
@@ -469,50 +496,104 @@ impl ScoreApp {
         };
         (app, metrics)
     }
+
+    fn handle_score(&self, req: &Request) -> AppResponse {
+        let reqs = match parse_score_body(&req.body) {
+            Ok((_, reqs)) => reqs,
+            Err(why) => return AppResponse::json(400, error_body(&why)),
+        };
+        let (status, body) = match self.engine.score_many(reqs) {
+            Ok(rows) => score_rows_response(&rows),
+            Err(e) => (503, error_body(&e.to_string())),
+        };
+        AppResponse::json(status, body)
+    }
 }
 
 impl App for ScoreApp {
-    fn handle(&self, req: &Request, ctl: &ServerCtl<'_>) -> AppResponse {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/score") => {
-                let (status, body) = self.handle_score(req);
-                AppResponse::json(status, body)
-            }
-            ("POST", "/explain") => {
-                let (status, body) =
-                    explain_response(&self.loaded, self.engine.inferencer(), &req.body);
-                AppResponse::json(status, body)
-            }
-            ("GET", "/cohorts") => AppResponse::json(200, cohorts_json(&self.loaded)),
-            ("GET", "/healthz") => AppResponse::json(200, self.healthz_body()),
-            ("GET", "/debug/requests") => {
-                AppResponse::json(200, debug_requests_body(ctl.flight(), &req.query))
-            }
-            ("GET", "/debug/config") => AppResponse::json(200, self.debug_config_body(ctl)),
-            ("GET", "/debug/trace") => AppResponse::json(200, debug_trace_body(&req.query)),
-            ("GET", "/metrics") => AppResponse {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: self.metrics.render_prometheus(),
-                close: false,
-            },
-            ("POST", "/shutdown") => {
-                // `/shutdown` always closes: the loop is about to drain
-                // anyway, and promising keep-alive on a dying connection
-                // helps nobody.
-                ctl.request_stop();
-                AppResponse::json(200, shutdown_body()).closing()
-            }
-            (_, "/score" | "/explain" | "/shutdown") => {
-                AppResponse::json(405, error_body("use POST for this endpoint"))
-            }
-            (
-                _,
-                "/cohorts" | "/healthz" | "/metrics" | "/debug/requests" | "/debug/config"
-                | "/debug/trace",
-            ) => AppResponse::json(405, error_body("use GET for this endpoint")),
-            _ => AppResponse::json(404, error_body("unknown endpoint")),
+    fn route(&self, req: &Request) -> Option<AppResponse> {
+        match req.path.as_str() {
+            "/score" => Some(on(req, "POST", || self.handle_score(req))),
+            _ => None,
         }
+    }
+
+    fn model(&self) -> Arc<ServedModel> {
+        Arc::clone(&self.model)
+    }
+
+    fn healthz_body(&self) -> String {
+        let inf = &self.model.inferencer;
+        let cfg = self.engine.config();
+        json::render(&obj(vec![
+            ("status", Json::Str("ok".into())),
+            (
+                "snapshot_version",
+                Json::Str(cohortnet::snapshot::SNAPSHOT_VERSION.into()),
+            ),
+            (
+                "snapshot_fingerprint",
+                Json::Str(self.model.loaded.fingerprint_hex()),
+            ),
+            ("n_features", Json::Num(inf.n_features() as f64)),
+            ("time_steps", Json::Num(inf.time_steps() as f64)),
+            ("n_labels", Json::Num(inf.n_labels() as f64)),
+            ("has_cohorts", Json::Bool(inf.has_cohorts())),
+            (
+                "simd_backend",
+                Json::Str(cohortnet_tensor::simd::active().name().into()),
+            ),
+            ("quant", Json::Bool(inf.quantized())),
+            ("max_batch", Json::Num(cfg.max_batch as f64)),
+            ("max_delay_us", Json::Num(cfg.max_delay_us as f64)),
+            ("deadline_ms", Json::Num(cfg.deadline_ms as f64)),
+            (
+                "read_timeout_ms",
+                Json::Num(self.read_timeout.as_millis() as f64),
+            ),
+            (
+                "idle_timeout_ms",
+                Json::Num(self.idle_timeout.as_millis() as f64),
+            ),
+            ("workers", Json::Num(self.workers as f64)),
+        ]))
+    }
+
+    fn debug_config_body(&self, ctl: &ServerCtl<'_>) -> String {
+        let cfg = self.engine.config();
+        json::render(&obj(vec![
+            (
+                "snapshot_fingerprint",
+                Json::Str(self.model.loaded.fingerprint_hex()),
+            ),
+            (
+                "simd_backend",
+                Json::Str(cohortnet_tensor::simd::active().name().into()),
+            ),
+            ("quant", Json::Bool(self.model.inferencer.quantized())),
+            ("max_batch", Json::Num(cfg.max_batch as f64)),
+            ("max_delay_us", Json::Num(cfg.max_delay_us as f64)),
+            ("deadline_ms", Json::Num(cfg.deadline_ms as f64)),
+            ("queue_cap", Json::Num(cfg.queue_cap as f64)),
+            ("engine_threads", Json::Num(cfg.threads as f64)),
+            (
+                "read_timeout_ms",
+                Json::Num(self.read_timeout.as_millis() as f64),
+            ),
+            (
+                "idle_timeout_ms",
+                Json::Num(self.idle_timeout.as_millis() as f64),
+            ),
+            ("workers", Json::Num(self.workers as f64)),
+            ("trace_enabled", Json::Bool(cohortnet_obs::trace::enabled())),
+            ("flight_slots", Json::Num(FLIGHT_SLOTS as f64)),
+            ("flight_total", Json::Num(ctl.flight().total() as f64)),
+            ("flight_dropped", Json::Num(ctl.flight().dropped() as f64)),
+        ]))
+    }
+
+    fn metrics_text(&self) -> String {
+        self.metrics.render_prometheus()
     }
 
     fn on_drained(&self) {
@@ -520,13 +601,8 @@ impl App for ScoreApp {
     }
 }
 
-/// The `{"status": "shutting down"}` body `POST /shutdown` answers with.
-pub fn shutdown_body() -> String {
-    json::render(&obj(vec![("status", Json::Str("shutting down".into()))]))
-}
-
 /// Decodes one `{"x": [...], "mask": [...]}` instance.
-fn parse_instance(value: &Json) -> Result<ScoreRequest, String> {
+pub(crate) fn parse_instance(value: &Json) -> Result<ScoreRequest, String> {
     let x = value
         .get("x")
         .and_then(Json::as_f32_vec)
@@ -607,294 +683,4 @@ pub fn score_rows_response(rows: &[Result<RowScore, EngineError>]) -> (u16, Stri
         status,
         json::render(&obj(vec![("predictions", predictions)])),
     )
-}
-
-impl ScoreApp {
-    fn handle_score(&self, req: &Request) -> (u16, String) {
-        let reqs = match parse_score_body(&req.body) {
-            Ok((_, reqs)) => reqs,
-            Err(why) => return (400, error_body(&why)),
-        };
-        match self.engine.score_many(reqs) {
-            Ok(rows) => score_rows_response(&rows),
-            Err(e) => (503, error_body(&e.to_string())),
-        }
-    }
-
-    fn healthz_body(&self) -> String {
-        let inf = self.engine.inferencer();
-        let cfg = self.engine.config();
-        json::render(&obj(vec![
-            ("status", Json::Str("ok".into())),
-            (
-                "snapshot_version",
-                Json::Str(cohortnet::snapshot::SNAPSHOT_VERSION.into()),
-            ),
-            (
-                "snapshot_fingerprint",
-                Json::Str(self.loaded.fingerprint_hex()),
-            ),
-            ("n_features", Json::Num(inf.n_features() as f64)),
-            ("time_steps", Json::Num(inf.time_steps() as f64)),
-            ("n_labels", Json::Num(inf.n_labels() as f64)),
-            ("has_cohorts", Json::Bool(inf.has_cohorts())),
-            (
-                "simd_backend",
-                Json::Str(cohortnet_tensor::simd::active().name().into()),
-            ),
-            ("quant", Json::Bool(self.engine.quantized())),
-            ("max_batch", Json::Num(cfg.max_batch as f64)),
-            ("max_delay_us", Json::Num(cfg.max_delay_us as f64)),
-            ("deadline_ms", Json::Num(cfg.deadline_ms as f64)),
-            (
-                "read_timeout_ms",
-                Json::Num(self.read_timeout.as_millis() as f64),
-            ),
-            (
-                "idle_timeout_ms",
-                Json::Num(self.idle_timeout.as_millis() as f64),
-            ),
-            ("workers", Json::Num(self.workers as f64)),
-        ]))
-    }
-
-    /// The `GET /debug/config` body: every resolved knob the server is
-    /// actually running with, plus the snapshot fingerprint, kernel path
-    /// and observability state — one curl for "what is this process?".
-    fn debug_config_body(&self, ctl: &ServerCtl<'_>) -> String {
-        let cfg = self.engine.config();
-        json::render(&obj(vec![
-            (
-                "snapshot_fingerprint",
-                Json::Str(self.loaded.fingerprint_hex()),
-            ),
-            (
-                "simd_backend",
-                Json::Str(cohortnet_tensor::simd::active().name().into()),
-            ),
-            ("quant", Json::Bool(self.engine.quantized())),
-            ("max_batch", Json::Num(cfg.max_batch as f64)),
-            ("max_delay_us", Json::Num(cfg.max_delay_us as f64)),
-            ("deadline_ms", Json::Num(cfg.deadline_ms as f64)),
-            ("queue_cap", Json::Num(cfg.queue_cap as f64)),
-            ("engine_threads", Json::Num(cfg.threads as f64)),
-            (
-                "read_timeout_ms",
-                Json::Num(self.read_timeout.as_millis() as f64),
-            ),
-            (
-                "idle_timeout_ms",
-                Json::Num(self.idle_timeout.as_millis() as f64),
-            ),
-            ("workers", Json::Num(self.workers as f64)),
-            ("trace_enabled", Json::Bool(cohortnet_obs::trace::enabled())),
-            ("flight_slots", Json::Num(FLIGHT_SLOTS as f64)),
-            ("flight_total", Json::Num(ctl.flight().total() as f64)),
-            ("flight_dropped", Json::Num(ctl.flight().dropped() as f64)),
-        ]))
-    }
-}
-
-/// One flight-recorder entry as a JSON object (the `/debug/requests`
-/// row shape).
-fn flight_record_json(r: &FlightRecord) -> Json {
-    obj(vec![
-        ("seq", Json::Num(r.seq as f64)),
-        ("rid", Json::Str(r.rid.as_str().to_string())),
-        ("trace", Json::Str(r.trace_hex())),
-        ("route", Json::Str(r.route.as_str().to_string())),
-        ("status", Json::Num(f64::from(r.status))),
-        ("total_us", Json::Num(f64::from(r.total_us))),
-        ("accept_us", Json::Num(f64::from(r.stage.accept_us))),
-        ("queue_us", Json::Num(f64::from(r.stage.queue_us))),
-        ("batch_wait_us", Json::Num(f64::from(r.stage.batch_wait_us))),
-        ("compute_us", Json::Num(f64::from(r.stage.compute_us))),
-        ("handoff_us", Json::Num(f64::from(r.stage.handoff_us))),
-        ("render_us", Json::Num(f64::from(r.stage.render_us))),
-        ("write_us", Json::Num(f64::from(r.stage.write_us))),
-        ("batch_size", Json::Num(f64::from(r.stage.batch_size))),
-        ("replica", Json::Num(f64::from(r.stage.replica))),
-    ])
-}
-
-/// Renders the `GET /debug/requests` body from a flight recorder. The
-/// query string selects the view: `view=recent` (default, newest first),
-/// `view=slowest` (by total latency), `view=errors` (status ≥ 400, newest
-/// first); `n=<count>` caps the rows (default 32). Shared by the
-/// single-model server and the fleet router so both triage surfaces read
-/// identically.
-pub fn debug_requests_body(flight: &FlightRecorder, query: &str) -> String {
-    let view = query_param(query, "view").unwrap_or("recent");
-    let n = query_param(query, "n")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(32)
-        .min(FLIGHT_SLOTS);
-    let mut records = flight.snapshot();
-    match view {
-        "slowest" => records.sort_by_key(|r| std::cmp::Reverse(r.total_us)),
-        "errors" => records.retain(|r| r.status >= 400),
-        _ => {}
-    }
-    records.truncate(n);
-    json::render(&obj(vec![
-        ("view", Json::Str(view.to_string())),
-        ("total", Json::Num(flight.total() as f64)),
-        ("dropped", Json::Num(flight.dropped() as f64)),
-        (
-            "requests",
-            Json::Arr(records.iter().map(flight_record_json).collect()),
-        ),
-    ]))
-}
-
-/// Handles `GET /debug/trace`: `?on` enables the process-wide trace
-/// collector, `?off` disables it, no argument just reports. Shared by the
-/// single-model server and the fleet router.
-pub fn debug_trace_body(query: &str) -> String {
-    if query_param(query, "on").is_some() {
-        cohortnet_obs::trace::enable();
-    } else if query_param(query, "off").is_some() {
-        cohortnet_obs::trace::disable();
-    }
-    json::render(&obj(vec![(
-        "tracing",
-        Json::Bool(cohortnet_obs::trace::enabled()),
-    )]))
-}
-
-/// Renders the `/explain` response for one instance body against a loaded
-/// model, using `inf` only for its shape. Shared by the single-model
-/// server and the fleet router.
-pub fn explain_response(loaded: &LoadedModel, inf: &Inferencer, body: &str) -> (u16, String) {
-    if loaded.model.discovery.is_none() {
-        return (
-            409,
-            error_body("snapshot has no discovery artefacts; /explain needs a trained pool"),
-        );
-    }
-    let parsed = match json::parse(body) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("invalid json: {e}"))),
-    };
-    let score_req = match parse_instance(&parsed) {
-        Ok(r) => r,
-        Err(why) => return (400, error_body(why.as_str())),
-    };
-    let (nf, t_steps, nl) = (inf.n_features(), inf.time_steps(), inf.n_labels());
-    if score_req.x.len() != t_steps * nf || score_req.mask.len() != nf {
-        return (
-            400,
-            error_body(&format!(
-                "instance shapes must be x: {} (= {t_steps} x {nf}), mask: {nf}",
-                t_steps * nf
-            )),
-        );
-    }
-    // explain_patient works on a prepared dataset; wrap the single instance
-    // as a one-patient dataset with dummy labels (labels are unused by the
-    // explanation itself).
-    let prep = Prepared {
-        n_features: nf,
-        time_steps: t_steps,
-        n_labels: nl,
-        patients: vec![PreparedPatient {
-            x: score_req.x,
-            mask: score_req.mask,
-            labels: vec![0.0; nl],
-            labels_u8: vec![0; nl],
-        }],
-    };
-    let exp = explain_patient(&loaded.model, &loaded.params, &prep, 0);
-    let cohorts = Json::Arr(
-        exp.cohorts
-            .iter()
-            .map(|c| {
-                obj(vec![
-                    ("feature", Json::Num(c.feature as f64)),
-                    ("cohort", Json::Num(c.cohort as f64)),
-                    ("beta", Json::Num(f64::from(c.beta))),
-                    ("score", Json::Num(f64::from(c.score))),
-                    (
-                        "matched_steps",
-                        Json::Arr(
-                            c.matched_steps
-                                .iter()
-                                .map(|&t| Json::Num(t as f64))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    let attention = Json::Arr(
-        exp.attention
-            .iter()
-            .map(|m| Json::Arr((0..m.rows()).map(|r| num_arr(m.row(r))).collect()))
-            .collect(),
-    );
-    let body = obj(vec![
-        ("base_prob", num_arr(&exp.base_prob)),
-        ("full_prob", num_arr(&exp.full_prob)),
-        ("feature_scores", num_arr(&exp.feature_scores)),
-        ("cohorts", cohorts),
-        ("attention", attention),
-    ]);
-    (200, json::render(&body))
-}
-
-/// Renders the `GET /cohorts` body for a loaded model. Shared by the
-/// single-model server and the fleet router.
-pub fn cohorts_json(loaded: &LoadedModel) -> String {
-    let Some(d) = loaded.model.discovery.as_ref() else {
-        return json::render(&obj(vec![
-            ("has_cohorts", Json::Bool(false)),
-            ("features", Json::Arr(Vec::new())),
-        ]));
-    };
-    let pool = &d.pool;
-    let features = Json::Arr(
-        pool.per_feature
-            .iter()
-            .enumerate()
-            .map(|(i, cohorts)| {
-                let mask = Json::Arr(pool.masks[i].iter().map(|&f| Json::Num(f as f64)).collect());
-                let rows = Json::Arr(
-                    cohorts
-                        .iter()
-                        .enumerate()
-                        .map(|(q, c)| {
-                            let pattern = Json::Arr(
-                                c.pattern
-                                    .iter()
-                                    .map(|&(f, s)| {
-                                        Json::Arr(vec![
-                                            Json::Num(f as f64),
-                                            Json::Num(f64::from(s)),
-                                        ])
-                                    })
-                                    .collect(),
-                            );
-                            obj(vec![
-                                ("cohort", Json::Num(q as f64)),
-                                ("pattern", pattern),
-                                ("frequency", Json::Num(c.frequency as f64)),
-                                ("n_patients", Json::Num(c.n_patients as f64)),
-                                ("pos_rate", num_arr(&c.pos_rate)),
-                            ])
-                        })
-                        .collect(),
-                );
-                obj(vec![
-                    ("feature", Json::Num(i as f64)),
-                    ("mask", mask),
-                    ("cohorts", rows),
-                ])
-            })
-            .collect(),
-    );
-    json::render(&obj(vec![
-        ("has_cohorts", Json::Bool(true)),
-        ("features", features),
-    ]))
 }

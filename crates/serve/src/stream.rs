@@ -1,10 +1,10 @@
 //! Event-stream ingestion and online scoring — the `/ingest` surface.
 //!
 //! [`serve_stream`] runs a [`StreamApp`] behind the same event-loop
-//! transport as [`crate::serve`]: the full batch surface (`/score`,
-//! `/explain`, `/cohorts`, `/healthz`, `/metrics`, the debug routes,
-//! `/shutdown`) is delegated verbatim to the inner scoring app, and three
-//! streaming routes are layered on top:
+//! transport as [`crate::serve`]: `/score` and the bodies the shared ops
+//! routes render (`/healthz`, `/metrics`, `/debug/config`, the served
+//! model behind `/explain` and `/cohorts`) are delegated verbatim to the
+//! inner scoring app, and three streaming routes are layered on top:
 //!
 //! * `POST /ingest` — body `{"session": id, "events": [{"f": feature,
 //!   "t": hours, "v": value}, ...], "score": bool}` (score defaults to
@@ -42,11 +42,13 @@ use cohortnet::stream::{StreamConfig, StreamEvent, StreamSession, DEFAULT_HORIZO
 use cohortnet_obs::span::span;
 
 use crate::engine::RowScore;
+use crate::http::Request;
 use crate::json::{self, obj, Json};
 use crate::metrics::Metrics;
+use crate::ops::on;
 use crate::server::{
-    error_body, row_to_json, score_rows_response, serve_app, App, AppResponse, ScoreApp, Server,
-    ServerConfig, ServerCtl,
+    error_body, row_to_json, score_rows_response, serve_app, App, AppResponse, ScoreApp,
+    ServedModel, Server, ServerConfig, ServerCtl,
 };
 
 /// Knobs specific to the streaming server, over and above [`ServerConfig`].
@@ -221,7 +223,7 @@ impl StreamApp {
     ) -> (Self, Arc<Metrics>) {
         let (score, metrics) = ScoreApp::build(loaded, cfg);
         let stream_cfg =
-            StreamConfig::for_inferencer(score.engine.inferencer(), opts.effective_horizon());
+            StreamConfig::for_inferencer(&score.model.inferencer, opts.effective_horizon());
         let app = StreamApp {
             score,
             cfg: stream_cfg,
@@ -278,7 +280,7 @@ impl StreamApp {
         }
         let slot = Arc::new(Slot {
             entry: Mutex::new(SessionState {
-                session: StreamSession::new(self.cfg, self.score.loaded.scaler.clone()),
+                session: StreamSession::new(self.cfg, self.score.model.loaded.scaler.clone()),
                 poisoned: false,
                 pending: Vec::new(),
             }),
@@ -321,7 +323,7 @@ impl StreamApp {
     ) -> Result<cohortnet::infer::DetailedScore, AppResponse> {
         let _sp = span("stream.score");
         let (full_before, reused_before) = state.session.probe_stats();
-        let inf = self.score.engine.inferencer();
+        let inf = &self.score.model.inferencer;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             cohortnet_chaos::panic_if_fires("stream.score");
             state.session.score(inf)
@@ -524,28 +526,35 @@ impl StreamApp {
 }
 
 impl App for StreamApp {
-    fn handle(&self, req: &crate::http::Request, ctl: &ServerCtl<'_>) -> AppResponse {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/ingest") => self.handle_ingest(&req.body),
-            ("GET", "/sessions") => self.handle_sessions_list(),
-            (_, "/ingest") => AppResponse::json(405, error_body("use POST for this endpoint")),
-            (_, "/sessions") => AppResponse::json(405, error_body("use GET for this endpoint")),
-            (method, path) => {
-                if let Some(rest) = path.strip_prefix("/sessions/") {
-                    if let Some(id) = rest.strip_suffix("/score") {
-                        return match method {
-                            "POST" => self.handle_session_score(id),
-                            _ => AppResponse::json(405, error_body("use POST for this endpoint")),
-                        };
-                    }
-                    return match method {
-                        "DELETE" => self.handle_session_delete(rest),
-                        _ => AppResponse::json(405, error_body("use DELETE for this endpoint")),
-                    };
-                }
-                self.score.handle(req, ctl)
-            }
-        }
+    fn route(&self, req: &Request) -> Option<AppResponse> {
+        let path = req.path.as_str();
+        Some(match path {
+            "/ingest" => on(req, "POST", || self.handle_ingest(&req.body)),
+            "/sessions" => on(req, "GET", || self.handle_sessions_list()),
+            _ => match path.strip_prefix("/sessions/") {
+                Some(rest) => match rest.strip_suffix("/score") {
+                    Some(id) => on(req, "POST", || self.handle_session_score(id)),
+                    None => on(req, "DELETE", || self.handle_session_delete(rest)),
+                },
+                None => return self.score.route(req),
+            },
+        })
+    }
+
+    fn model(&self) -> Arc<ServedModel> {
+        self.score.model()
+    }
+
+    fn healthz_body(&self) -> String {
+        self.score.healthz_body()
+    }
+
+    fn debug_config_body(&self, ctl: &ServerCtl<'_>) -> String {
+        self.score.debug_config_body(ctl)
+    }
+
+    fn metrics_text(&self) -> String {
+        self.score.metrics_text()
     }
 
     fn on_drained(&self) {
