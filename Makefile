@@ -22,10 +22,11 @@ test:
 ## the env override path on hosts where detection would pick AVX2 (the
 ## cross-backend bit-identity tests cover the other direction) — plus the
 ## end-to-end forward pins, which judge the fused eager kernels on the
-## scalar backend too.
+## scalar backend too, and the fused-tape training bits. CI runs this
+## target.
 test-scalar:
 	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet-tensor
-	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet --test forward_pins --test infer_identity --test quant_snapshot
+	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet --test forward_pins --test infer_identity --test quant_snapshot --test tape_training_bits
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings

@@ -19,7 +19,7 @@ use cohortnet_ehr::features::FeatureDef;
 use cohortnet_ehr::record::EhrDataset;
 use cohortnet_ehr::standardize::Standardizer;
 use cohortnet_models::data::{make_batch, Prepared};
-use cohortnet_tensor::{Matrix, ParamStore, Tape};
+use cohortnet_tensor::{Eager, Exec, Matrix, ParamStore};
 
 /// The state grid of every patient in a dataset.
 #[derive(Debug, Clone)]
@@ -116,9 +116,9 @@ pub fn compute_states(model: &CohortNetModel, ps: &ParamStore, prep: &Prepared) 
     let indices: Vec<usize> = (0..n).collect();
     for chunk in indices.chunks(64) {
         let batch = make_batch(prep, chunk);
-        let mut tape = Tape::new();
-        let trace = model.mflm.forward(&mut tape, ps, &batch, false);
-        let bs = crate::discover::batch_states(&tape, &trace, &batch, &d.states);
+        let mut e = Eager::new(ps);
+        let trace = model.mflm.forward(&mut e, ps, &batch, false);
+        let bs = crate::discover::batch_states(&e, &trace, &batch, &d.states);
         for (r, &p) in chunk.iter().enumerate() {
             data[p * t_steps * nf..(p + 1) * t_steps * nf]
                 .copy_from_slice(&bs[r * t_steps * nf..(r + 1) * t_steps * nf]);
@@ -287,19 +287,19 @@ pub fn explain_patient(
         .as_ref()
         .expect("run discovery before interpretation");
     let batch = make_batch(prep, &[patient]);
-    let mut tape = Tape::new();
-    let trace = model.forward_trace(&mut tape, ps, &batch, true);
+    let mut e = Eager::new(ps);
+    let trace = model.forward_trace(&mut e, ps, &batch, true);
     let cem_trace = trace.cem.as_ref().expect("cohorts active");
     let states = trace.states.as_ref().unwrap();
 
-    let base_prob: Vec<f32> = tape
-        .value(trace.mflm.logits)
+    let base_prob: Vec<f32> = e
+        .value(&trace.mflm.logits)
         .row(0)
         .iter()
         .map(|&z| sigmoid(z))
         .collect();
-    let full_prob: Vec<f32> = tape
-        .value(trace.logits)
+    let full_prob: Vec<f32> = e
+        .value(&trace.logits)
         .row(0)
         .iter()
         .map(|&z| sigmoid(z))
@@ -311,7 +311,7 @@ pub fn explain_patient(
     let nf = prep.n_features;
     let mut feature_scores = Vec::with_capacity(nf);
     for i in 0..nf {
-        let ctx = tape.value(cem_trace.contexts[i]);
+        let ctx = e.value(&cem_trace.contexts[i]);
         let mut score = 0.0f32;
         for j in 0..d_v {
             score += ctx[(0, j)] * wc[(i * d_v + j, 0)];
@@ -325,10 +325,10 @@ pub fn explain_patient(
     let wv_b = ps.value(wv.bias().expect("W_V is a biased projection"));
     let mut cohorts = Vec::new();
     for i in 0..nf {
-        let Some(beta_var) = cem_trace.attention[i] else {
+        let Some(beta) = &cem_trace.attention[i] else {
             continue;
         };
-        let beta = tape.value(beta_var);
+        let beta = e.value(beta);
         let grid = states; // single patient
         let bits = d.pool.bitmap(i, grid, prep.time_steps, nf);
         for (q, &relevant) in bits.iter().enumerate() {

@@ -17,7 +17,8 @@
 //! interpretation record it on a [`cohortnet_tensor::Tape`], serving and
 //! discovery run it on the value-only [`cohortnet_tensor::Eager`] executor.
 //! Each time step's per-feature work is a handful of grouped ops over all
-//! `F` channels (see [`cohortnet_tensor::exec`]): the tape records them as
+//! `F` channels (see [`cohortnet_tensor::exec`]): the tape records each
+//! (block concat aside) as one stacked node whose gradients are those of
 //! the per-feature loops, the eager executor runs each as one fused kernel.
 
 use crate::config::CohortNetConfig;

@@ -12,7 +12,7 @@ use crate::discover::{batch_states, discover, Discovery};
 use crate::mflm::{Mflm, MflmTrace};
 use cohortnet_models::data::{Batch, Prepared};
 use cohortnet_models::traits::SequenceModel;
-use cohortnet_tensor::{Exec, ParamStore, Tape, Var};
+use cohortnet_tensor::{Eager, Exec, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 
 /// CohortNet: the paper's model.
@@ -184,6 +184,13 @@ impl SequenceModel for CohortNetModel {
 
     fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
         self.forward_trace(t, ps, batch, false).logits
+    }
+
+    /// The same forward on the value-only executor: no graph, same bits.
+    fn predict(&self, ps: &ParamStore, batch: &Batch) -> Matrix {
+        let mut e = Eager::new(ps);
+        let logits = self.forward_trace(&mut e, ps, batch, false).logits;
+        e.into_matrix(logits)
     }
 }
 

@@ -1,17 +1,18 @@
 //! Tape node budget of one batch-1 training forward.
 //!
-//! FIL's pairwise attention over all F² feature pairs is recorded as one
-//! stacked node per grouped op (`pair_attention`, `attention_sum`) plus one
-//! row view per feature block, instead of one `Mul`/`SumCols`/`Scale`/
-//! `SliceCols`/`MulColBroadcast`/`Add` node per pair. This test counts the
-//! nodes `forward_trace` records on a tape for a single patient of an
-//! untrained F = 20, T = 12 model, with and without cohorts, so a change
-//! that slips back into per-pair nodes fails here instead of only showing
-//! up as training time.
+//! Each grouped op — BiEL, the shared-weight `Linear`s, the per-feature
+//! GRUs and FIL's pairwise attention — is recorded as one stacked node plus
+//! one row view per feature block, instead of its per-feature (and, for
+//! FIL, per-pair) primitive nodes with a weight-copy leaf per use. This
+//! test counts the nodes `forward_trace` records on a tape for a single
+//! patient of an untrained F = 20, T = 12 model, with and without cohorts,
+//! so a change that slips back into per-feature nodes fails here instead of
+//! only showing up as training time.
 //!
-//! Measured the same way, the per-pair recording made 46,649 (cohorts) and
-//! 46,225 (no cohorts) nodes, the stacked one 18,113 and 17,689; the budget
-//! leaves about 10% over the larger new count, far below either old one.
+//! Measured the same way, the fully per-pair recording made 46,649
+//! (cohorts) and 46,225 (no cohorts) nodes; stacking only the attention
+//! ops, 18,113 and 17,689; stacking every grouped op but `concat_blocks`,
+//! 2,998 and 2,574. The budget leaves about 10% over the larger new count.
 
 use cohortnet::config::CohortNetConfig;
 use cohortnet::model::CohortNetModel;
@@ -22,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Node budget of one batch-1 `forward_trace` on a tape.
-const BUDGET: usize = 20_000;
+const BUDGET: usize = 3_300;
 
 fn data() -> (Prepared, CohortNetConfig) {
     let mut c = profiles::mimic3_like(0.05);

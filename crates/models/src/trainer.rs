@@ -245,16 +245,15 @@ pub fn predict_probs(
     let mut out = Vec::with_capacity(prep.patients.len() * prep.n_labels);
     for chunk in indices.chunks(batch_size.max(1)) {
         let batch = make_batch(prep, chunk);
-        let mut tape = Tape::new();
-        let logits = model.forward(&mut tape, ps, &batch);
-        let probs = tape.value(logits).map(|z| 1.0 / (1.0 + (-z).exp()));
+        let probs = model.predict(ps, &batch).map(|z| 1.0 / (1.0 + (-z).exp()));
         out.extend_from_slice(probs.as_slice());
     }
     out
 }
 
 /// Runs one forward pass on a single batch without training — used by the
-/// Fig. 11 inference-time measurements.
+/// Fig. 11 inference-time measurements. It records the forward on a tape
+/// for every model, so all of them are timed the same way.
 pub fn inference_time(model: &dyn SequenceModel, ps: &ParamStore, batch: &Batch) -> f64 {
     let t0 = Instant::now();
     let mut tape = Tape::new();

@@ -1,7 +1,7 @@
 //! The common interface every EHR sequence model implements.
 
 use crate::data::{Batch, Prepared};
-use cohortnet_tensor::{ParamStore, Tape, Var};
+use cohortnet_tensor::{Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 
 /// A trainable sequence model over EHR batches.
@@ -21,6 +21,16 @@ pub trait SequenceModel: Sync {
     /// Records the forward pass, returning logits of shape
     /// `(batch x n_labels)`.
     fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var;
+
+    /// The logits of [`SequenceModel::forward`], where no gradient is
+    /// taken. Default: the forward recorded on a throwaway [`Tape`]; a
+    /// model whose forward also runs on a value-only executor overrides it
+    /// with the same bits.
+    fn predict(&self, ps: &ParamStore, batch: &Batch) -> Matrix {
+        let mut tape = Tape::new();
+        let logits = self.forward(&mut tape, ps, batch);
+        tape.value(logits).clone()
+    }
 
     /// Epoch hook for models with non-gradient state (GRASP's clusters,
     /// PPN's prototypes). Called before every epoch and once before

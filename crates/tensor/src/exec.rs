@@ -50,18 +50,25 @@
 //! element as one `k`-ascending chain and rows independently, and the int8
 //! [`qgemm`](crate::quant::qgemm) quantizes activations per row.
 //!
-//! The tape records the reference node by node for the ops that touch
-//! weights (`biel_blocks`, `linear_blocks`, `gru_blocks`) and for
-//! `concat_blocks`. It overrides FIL's `pair_attention` and `attention_sum`,
-//! which reach activations only: each is one stacked node valued by the
-//! same kernel as [`Eager`]'s, plus one row view per block. Its backward
-//! replays the rules of the reference's nodes in the reference's reverse
-//! order (blocks, then pairs, descending), including each add into a fresh
-//! gradient buffer (`0.0 + x`).
+//! The tape records the reference node by node only for `concat_blocks`.
+//! It overrides every other grouped op with one stacked node valued by the
+//! same kernel as [`Eager`]'s (f32 only), plus one row view per block. The
+//! node's backward replays the rules of the reference's nodes in the
+//! reference's reverse order, including each add into a fresh gradient
+//! buffer (`0.0 + x`), and skips a block whose view got no gradient, as the
+//! reference's nodes for it would get none. Each input gradient stays one
+//! `k`-ascending chain from its prior value, so the GRU's
+//! `+= g_h·Whᵀ; += g_r·Wrᵀ; += g_z·Wzᵀ` keeps the reference's order. The
+//! ops that touch weights (`biel_blocks`, `linear_blocks`, `gru_blocks`)
+//! copy the weights they read at record time instead of recording a leaf
+//! per use, compute each block's weight gradients into fresh buffers, and
+//! flush them one block at a time — never summed across blocks or steps —
+//! so every [`ParamId`] receives the reference's gradients in the
+//! reference's order.
 
 use crate::gemm::gemm_into;
 use crate::matrix::Matrix;
-use crate::nn::{Biel, GruCell, Linear};
+use crate::nn::{Biel, GruCell, GruParams, Linear};
 use crate::param::{ParamId, ParamStore};
 use crate::quant::{qgemm, qgemm_rows, QuantRows, QuantWeights};
 
@@ -178,9 +185,10 @@ pub trait Exec: Sized {
     }
 }
 
-/// The grouped ops written with primitive ops — their definitions and the
-/// bodies the tape records (see the module docs). Each processes the blocks
-/// one after another, exactly as a per-feature loop would.
+/// The grouped ops written with primitive ops — their definitions, and
+/// what the tape records where it does not fuse (see the module docs). Each
+/// processes the blocks one after another, exactly as a per-feature loop
+/// would.
 pub mod reference {
     use super::{Act, Exec};
     use crate::matrix::Matrix;
@@ -304,6 +312,8 @@ pub mod reference {
 /// eager executor `Vec::new()`) and returns the result matrix.
 pub(crate) mod kernel {
     use crate::matrix::Matrix;
+    use crate::nn::Biel;
+    use crate::param::ParamStore;
 
     /// Readies the empty `buf` to take `n` values without regrowing: a fresh
     /// buffer is allocated at exactly `n`, a recycled one only grows if it
@@ -468,6 +478,36 @@ pub(crate) mod kernel {
         Matrix::from_vec(rows, cols, buf)
     }
 
+    /// [`Exec::biel_blocks`](super::Exec::biel_blocks), stacked: rows
+    /// `f·batch ..` of the result embed column `f` of `step` with `biel[f]`.
+    pub(crate) fn biel(
+        buf: Vec<f32>,
+        ps: &ParamStore,
+        biel: &[Biel],
+        step: &Matrix,
+        mask: &Matrix,
+    ) -> Matrix {
+        let batch = step.rows();
+        let dim = biel.first().map_or(0, |ch| ps.value(ch.params().0).cols());
+        let mut out = zeroed(buf, biel.len() * batch, dim);
+        for (f, ch) in biel.iter().enumerate() {
+            let (a, b, m) = ch.params();
+            let (va, vb, vm) = (ps.value(a).row(0), ps.value(b).row(0), ps.value(m).row(0));
+            for r in 0..batch {
+                let (wa, wb, present) = ch.weights(step[(r, f)], mask[(r, f)]);
+                let (on, off) = (f32::from(present), f32::from(!present));
+                let row = out.row_mut(f * batch + r);
+                for (c, o) in row.iter_mut().enumerate() {
+                    // Each reference product is a k = 1 GEMM, whose chain
+                    // starts at +0.0: `0.0 + w·v` (a -0.0 product becomes
+                    // +0.0) is part of the definition.
+                    *o = ((0.0 + wa * va[c]) + (0.0 + wb * vb[c])) * on + (0.0 + off * vm[c]);
+                }
+            }
+        }
+        out
+    }
+
     /// [`Exec::pair_attention`](super::Exec::pair_attention) over blocks
     /// given as row-major `batch x d` slices, stacked: rows `i·batch ..` of
     /// the `F·batch x F` result are block `i`. Each score is the
@@ -578,15 +618,20 @@ impl Stack {
     }
 }
 
-/// Where [`Eager`] reads weights: the f32 store, and the int8 stand-ins of
-/// the quantized ones.
+/// Where the fused kernels read weights: the f32 store, and the int8
+/// stand-ins of the quantized ones.
 #[derive(Debug, Clone, Copy)]
-struct Weights<'a> {
+pub(crate) struct Weights<'a> {
     ps: &'a ParamStore,
     quant: Option<&'a QuantWeights>,
 }
 
 impl<'a> Weights<'a> {
+    /// The f32 weights of `ps`, with no int8 stand-ins.
+    pub(crate) fn f32(ps: &'a ParamStore) -> Self {
+        Weights { ps, quant: None }
+    }
+
     /// The matrix behind `v`.
     fn value<'v>(self, v: &'v Val) -> &'v Matrix
     where
@@ -624,6 +669,26 @@ impl<'a> Weights<'a> {
         self.quant
             .is_some_and(|q| ids.iter().any(|&id| q.get(id).is_some()))
     }
+
+    /// [`Exec::linear_blocks`] over stacked blocks: `act(x W + b)` for every
+    /// row of `x`, into `out` (reshaped to fit).
+    pub(crate) fn linear(self, layer: &Linear, x: &Matrix, act: Act, out: &mut Matrix) {
+        self.matmul(x, None, layer.weight(), out);
+        if let Some(b) = layer.bias() {
+            let bias = self.ps.value(b);
+            assert_eq!(bias.shape(), (1, out.cols()), "bias width mismatch");
+            let bias = bias.row(0);
+            for r in 0..out.rows() {
+                out.row_mut(r)
+                    .iter_mut()
+                    .zip(bias)
+                    .for_each(|(o, &b)| *o += b);
+            }
+        }
+        if act == Act::Tanh {
+            out.as_mut_slice().iter_mut().for_each(|o| *o = o.tanh());
+        }
+    }
 }
 
 /// The product buffers of one fused gate.
@@ -659,19 +724,85 @@ impl Products {
     }
 }
 
+/// The values one GRU cell step computes besides the new state — the
+/// gates `z` and `r`, the product `r⊙h` and the candidate — which a
+/// backward pass reads.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GruGates {
+    pub(crate) z: Matrix,
+    pub(crate) r: Matrix,
+    pub(crate) rh: Matrix,
+    pub(crate) cand: Matrix,
+}
+
+/// Scratch of the fused GRU step, reused across blocks, steps and calls:
+/// the product buffers and the int8 rows of the step's inputs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GruScratch {
+    prod: Products,
+    qx: QuantRows,
+    qh: QuantRows,
+}
+
+impl GruScratch {
+    /// One step of the cell with parameters `p` on one block: input `x`,
+    /// state `h`. Writes the gates into `gates` and the new state
+    /// `(1 - z) ⊙ h + z ⊙ cand` into `out` — the values of the nodes of
+    /// [`GruCell::step`].
+    pub(crate) fn step(
+        &mut self,
+        wts: Weights,
+        p: GruParams,
+        (x, h): (&Matrix, &Matrix),
+        gates: &mut GruGates,
+        out: &mut [f32],
+    ) {
+        use kernel::GateKind::{Sigmoid, Tanh};
+        let GruScratch { prod, qx, qh } = self;
+        let GruGates { z, r, rh, cand } = gates;
+        // An int8 cell quantizes `x`, `h` and `r⊙h` once per step for
+        // every gate that reads them.
+        let int8 = wts.any_int8(&[p.wz, p.uz, p.wr, p.ur, p.wh, p.uh]);
+        if int8 {
+            qx.quantize(x);
+            qh.quantize(h);
+        }
+        let xq = (x, int8.then_some(&*qx));
+        let hq = (h, int8.then_some(&*qh));
+        prod.gate(wts, xq, hq, [p.wz, p.uz, p.bz], Sigmoid, z);
+        prod.gate(wts, xq, hq, [p.wr, p.ur, p.br], Sigmoid, r);
+        reshape(rh, h.rows(), h.cols());
+        for ((o, &rv), &hv) in rh
+            .as_mut_slice()
+            .iter_mut()
+            .zip(r.as_slice())
+            .zip(h.as_slice())
+        {
+            *o = rv * hv;
+        }
+        if int8 {
+            qh.quantize(rh);
+        }
+        prod.gate(
+            wts,
+            xq,
+            (rh, int8.then_some(&*qh)),
+            [p.wh, p.uh, p.bh],
+            Tanh,
+            cand,
+        );
+        crate::simd::gru_blend_slices(out, z.as_slice(), h.as_slice(), cand.as_slice());
+    }
+}
+
 /// Work matrices [`Eager`]'s fused kernels reuse across blocks, steps
 /// and calls instead of allocating per op.
 #[derive(Debug, Clone, Default)]
 struct Workspace {
     x: Matrix,
     h: Matrix,
-    z: Matrix,
-    r: Matrix,
-    rh: Matrix,
-    cand: Matrix,
-    prod: Products,
-    qx: QuantRows,
-    qh: QuantRows,
+    gates: GruGates,
+    gru: GruScratch,
 }
 
 /// Gives `m` the shape `rows x cols`, reusing its buffer; the contents are
@@ -887,111 +1018,37 @@ impl Exec for Eager<'_> {
         if quantized {
             return reference::biel_blocks(self, ps, biel, step, mask);
         }
-        let batch = step.rows();
-        let dim = biel.first().map_or(0, |ch| ps.value(ch.params().0).cols());
-        let mut out = Matrix::zeros(biel.len() * batch, dim);
-        for (f, ch) in biel.iter().enumerate() {
-            let (a, b, m) = ch.params();
-            let (va, vb, vm) = (ps.value(a).row(0), ps.value(b).row(0), ps.value(m).row(0));
-            for r in 0..batch {
-                let (wa, wb, present) = ch.weights(step[(r, f)], mask[(r, f)]);
-                let (on, off) = (f32::from(present), f32::from(!present));
-                let row = out.row_mut(f * batch + r);
-                for (c, o) in row.iter_mut().enumerate() {
-                    // Each reference product is a k = 1 GEMM, whose chain
-                    // starts at +0.0: `0.0 + w·v` (a -0.0 product becomes
-                    // +0.0) is part of the definition.
-                    *o = ((0.0 + wa * va[c]) + (0.0 + wb * vb[c])) * on + (0.0 + off * vm[c]);
-                }
-            }
-        }
+        let out = kernel::biel(Vec::new(), ps, biel, step, mask);
         Stack::new(biel.len(), out)
     }
 
     fn linear_blocks(&mut self, ps: &ParamStore, layer: &Linear, x: &Stack, act: Act) -> Stack {
         self.check_store(ps);
         let mut out = Matrix::zeros(0, 0);
-        self.w.matmul(&x.m, None, layer.weight(), &mut out);
-        if let Some(b) = layer.bias() {
-            let bias = ps.value(b);
-            assert_eq!(bias.shape(), (1, out.cols()), "bias width mismatch");
-            let bias = bias.row(0);
-            for r in 0..out.rows() {
-                out.row_mut(r)
-                    .iter_mut()
-                    .zip(bias)
-                    .for_each(|(o, &b)| *o += b);
-            }
-        }
-        if act == Act::Tanh {
-            out.as_mut_slice().iter_mut().for_each(|o| *o = o.tanh());
-        }
+        self.w.linear(layer, &x.m, act, &mut out);
         Stack::new(x.blocks, out)
     }
 
     fn gru_blocks(&mut self, ps: &ParamStore, cells: &[GruCell], x: &Stack, h: &Stack) -> Stack {
-        use kernel::GateKind::{Sigmoid, Tanh};
         self.check_store(ps);
         assert_eq!(cells.len(), x.blocks, "one GRU cell per input block");
         assert_eq!(
             h.blocks, x.blocks,
             "GRU input and state block counts differ"
         );
-        let wts = self.w;
         let Workspace {
             x: xs,
             h: hs,
-            z,
-            r,
-            rh,
-            cand,
-            prod,
-            qx,
-            qh,
+            gates,
+            gru,
         } = &mut self.work;
         let mut out = Matrix::zeros(h.m.rows(), h.m.cols());
         let block_len = h.block_rows() * h.m.cols();
         for (f, cell) in cells.iter().enumerate() {
-            let p = cell.params();
             copy_block(x, f, xs);
             copy_block(h, f, hs);
-            // An int8 cell quantizes `x`, `h` and `r⊙h` once per step
-            // for every gate that reads them.
-            let int8 = wts.any_int8(&[p.wz, p.uz, p.wr, p.ur, p.wh, p.uh]);
-            if int8 {
-                qx.quantize(xs);
-                qh.quantize(hs);
-            }
-            let xq = (&*xs, int8.then_some(&*qx));
-            let hq = (&*hs, int8.then_some(&*qh));
-            prod.gate(wts, xq, hq, [p.wz, p.uz, p.bz], Sigmoid, z);
-            prod.gate(wts, xq, hq, [p.wr, p.ur, p.br], Sigmoid, r);
-            reshape(rh, hs.rows(), hs.cols());
-            for ((o, &rv), &hv) in rh
-                .as_mut_slice()
-                .iter_mut()
-                .zip(r.as_slice())
-                .zip(hs.as_slice())
-            {
-                *o = rv * hv;
-            }
-            if int8 {
-                qh.quantize(rh);
-            }
-            prod.gate(
-                wts,
-                xq,
-                (rh, int8.then_some(&*qh)),
-                [p.wh, p.uh, p.bh],
-                Tanh,
-                cand,
-            );
-            crate::simd::gru_blend_slices(
-                &mut out.as_mut_slice()[f * block_len..(f + 1) * block_len],
-                z.as_slice(),
-                hs.as_slice(),
-                cand.as_slice(),
-            );
+            let out_f = &mut out.as_mut_slice()[f * block_len..(f + 1) * block_len];
+            gru.step(self.w, cell.params(), (xs, hs), gates, out_f);
         }
         Stack::new(x.blocks, out)
     }
@@ -1399,6 +1456,110 @@ mod tests {
                 for (i, (gm, wm)) in got.iter().zip(&want).enumerate() {
                     let case = format!("{backend:?}, batch {batch}, {nf} blocks, matrix {i}");
                     let (gm, wm) = (gm.as_ref(), wm.as_ref());
+                    assert_eq!(gm.is_some(), wm.is_some(), "gradient presence ({case})");
+                    let (Some(gm), Some(wm)) = (gm, wm) else {
+                        continue;
+                    };
+                    assert_eq!(gm.shape(), wm.shape(), "shape ({case})");
+                    for (e, (gv, wv)) in gm.as_slice().iter().zip(wm.as_slice()).enumerate() {
+                        assert_eq!(
+                            gv.to_bits(),
+                            wv.to_bits(),
+                            "element {e}: {gv} vs {wv} ({case})"
+                        );
+                    }
+                }
+            }
+        }
+        crate::simd::set_backend(before);
+    }
+
+    /// The values of the weight ops on a tape, fused or (`reference`)
+    /// recorded node by node, followed by the gradient of every input block
+    /// and every weight gradient the tape flushes into a zeroed store, by
+    /// [`ParamId`]. Each weight is used more than once — the shared linear
+    /// weight over two groups and by a `Tanh` and an `Identity` op, each
+    /// GRU cell for two steps, the second fed by the BiEL and the first
+    /// step's outputs — so the order of every id's flushes shows. One more
+    /// linear and GRU op read the first input (and state) block in every
+    /// block, so each input's gradient shows the order of the blocks'
+    /// contributions. The loss weights each output with a `-0.0`-laced fill
+    /// and leaves out the last block of the second GRU step, whose nodes
+    /// then get no gradient.
+    fn weight_values_and_grads(g: &Grouped, reference: bool) -> Vec<Option<Matrix>> {
+        let mut t = Tape::new();
+        let ps = &g.ps;
+        let group = |t: &mut Tape, ms: &[Matrix]| -> Vec<Var> {
+            ms.iter().map(|m| t.constant(m.clone())).collect()
+        };
+        let (x, h) = (group(&mut t, &g.xs), group(&mut t, &g.hs));
+        let (x_rep, h_rep) = (vec![x[0]; x.len()], vec![h[0]; h.len()]);
+        let outs: Vec<Vec<Var>> = if reference {
+            let e = super::reference::biel_blocks(&mut t, ps, &g.biel, &g.step, &g.mask);
+            let y_tanh = super::reference::linear_blocks(&mut t, ps, &g.lin, &x, Act::Tanh);
+            let y_id = super::reference::linear_blocks(&mut t, ps, &g.lin, &e, Act::Identity);
+            let y_nb = super::reference::linear_blocks(&mut t, ps, &g.lin_nb, &e, Act::Tanh);
+            let y_rep = super::reference::linear_blocks(&mut t, ps, &g.lin, &x_rep, Act::Tanh);
+            let h_rep = super::reference::gru_blocks(&mut t, ps, &g.cells, &x_rep, &h_rep);
+            let h1 = super::reference::gru_blocks(&mut t, ps, &g.cells, &x, &h);
+            let h2 = super::reference::gru_blocks(&mut t, ps, &g.cells, &e, &h1);
+            vec![e, y_tanh, y_id, y_nb, y_rep, h_rep, h1, h2]
+        } else {
+            let e = t.biel_blocks(ps, &g.biel, &g.step, &g.mask);
+            let y_tanh = t.linear_blocks(ps, &g.lin, &x, Act::Tanh);
+            let y_id = t.linear_blocks(ps, &g.lin, &e, Act::Identity);
+            let y_nb = t.linear_blocks(ps, &g.lin_nb, &e, Act::Tanh);
+            let y_rep = t.linear_blocks(ps, &g.lin, &x_rep, Act::Tanh);
+            let h_rep = t.gru_blocks(ps, &g.cells, &x_rep, &h_rep);
+            let h1 = t.gru_blocks(ps, &g.cells, &x, &h);
+            let h2 = t.gru_blocks(ps, &g.cells, &e, &h1);
+            vec![e, y_tanh, y_id, y_nb, y_rep, h_rep, h1, h2]
+        };
+        let mut loss: Option<Var> = None;
+        for (o, out) in outs.iter().enumerate() {
+            let live = if o == outs.len() - 1 && out.len() > 1 {
+                out.len() - 1
+            } else {
+                out.len()
+            };
+            for (f, &block) in out[..live].iter().enumerate() {
+                let (r, c) = t.value(block).shape();
+                let w = t.constant(signed(r, c, 70 + (o * 7 + f) as u32));
+                let weighted = t.mul(block, w);
+                let term = t.mean_all(weighted);
+                loss = Some(match loss {
+                    Some(acc) => t.add(acc, term),
+                    None => term,
+                });
+            }
+        }
+        t.backward(loss.expect("at least one output block"));
+        let mut store = ps.clone();
+        store.zero_grads();
+        t.flush_grads(&mut store);
+        let values = outs.iter().flatten().map(|&b| Some(t.value(b).clone()));
+        let grads = x.iter().chain(&h).map(|&b| t.grad(b).cloned());
+        let flushed = (0..store.len()).map(|id| Some(store.grad(ParamId(id)).clone()));
+        values.chain(grads).chain(flushed).collect()
+    }
+
+    /// On a tape, the fused `gru_blocks`, `linear_blocks` (`Identity` and
+    /// `Tanh`, with and without bias) and `biel_blocks` equal their
+    /// reference compositions in value, in every input gradient and in
+    /// every flushed weight gradient, bit for bit, on every SIMD backend,
+    /// for batch 1 and 3 and 1 and 5 blocks.
+    #[test]
+    fn tape_weight_ops_match_reference_gradients_bitwise() {
+        let before = crate::simd::active();
+        for backend in crate::simd::supported_backends() {
+            assert!(crate::simd::set_backend(backend));
+            for (batch, nf) in [(1, 1), (1, 5), (3, 1), (3, 5)] {
+                let g = grouped(batch, nf);
+                let want = weight_values_and_grads(&g, true);
+                let got = weight_values_and_grads(&g, false);
+                assert_eq!(got.len(), want.len());
+                for (i, (gm, wm)) in got.iter().zip(&want).enumerate() {
+                    let case = format!("{backend:?}, batch {batch}, {nf} blocks, matrix {i}");
                     assert_eq!(gm.is_some(), wm.is_some(), "gradient presence ({case})");
                     let (Some(gm), Some(wm)) = (gm, wm) else {
                         continue;

@@ -51,7 +51,27 @@
 
 use crate::matrix::Matrix;
 use crate::simd::{self, GemmSpec, MR};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Packed `op(B)` panels of the packed path, reused across calls.
+    static PACKED_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The packed `op(A)` strip of the packed path, reused across row
+    /// blocks and calls.
+    static A_TILE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The small NT path's `k x n` copy of `op(B)`, reused across calls.
+    static OP_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The first `n` values of the per-thread scratch `buf`, grown (never
+/// shrunk) to fit; their contents are left for the caller to overwrite.
+fn scratch(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    if buf.len() < n {
+        buf.resize(n, 0.0);
+    }
+    &mut buf[..n]
+}
 
 /// Output rows handed to one parallel task (multiple of `MR`).
 const ROW_BLOCK: usize = 64;
@@ -177,29 +197,33 @@ pub fn gemm_into_on(
     // Pack op(B) once into K-major panels (width set by the active SIMD
     // backend), shared by every row block.
     let spec = simd::gemm_spec();
-    let packed_b = pack_b(b, tb, ka, n, spec.nr);
+    PACKED_B.with(|packed| {
+        let mut packed = packed.borrow_mut();
+        let packed_b = pack_b(&mut packed, b, tb, ka, n, spec.nr);
 
-    let threads = if work >= PAR_MIN_WORK {
-        let blocks = m.div_ceil(ROW_BLOCK);
-        cohortnet_parallel::resolve_threads(gemm_threads(), blocks)
-    } else {
-        1
-    };
+        let threads = if work >= PAR_MIN_WORK {
+            let blocks = m.div_ceil(ROW_BLOCK);
+            cohortnet_parallel::resolve_threads(gemm_threads(), blocks)
+        } else {
+            1
+        };
 
-    let row_chunk = ROW_BLOCK * n;
-    if threads <= 1 {
-        for (block, chunk) in out.as_mut_slice().chunks_mut(row_chunk).enumerate() {
-            gemm_row_block(ta, a, &packed_b, chunk, block * ROW_BLOCK, n, ka, spec);
+        let row_chunk = ROW_BLOCK * n;
+        if threads <= 1 {
+            for (block, chunk) in out.as_mut_slice().chunks_mut(row_chunk).enumerate() {
+                gemm_row_block(ta, a, packed_b, chunk, block * ROW_BLOCK, n, ka, spec);
+            }
+        } else {
+            cohortnet_parallel::par_chunks_mut(
+                threads,
+                out.as_mut_slice(),
+                row_chunk,
+                |block, chunk| {
+                    gemm_row_block(ta, a, packed_b, chunk, block * ROW_BLOCK, n, ka, spec)
+                },
+            );
         }
-    } else {
-        let packed_b = &packed_b;
-        cohortnet_parallel::par_chunks_mut(
-            threads,
-            out.as_mut_slice(),
-            row_chunk,
-            |block, chunk| gemm_row_block(ta, a, packed_b, chunk, block * ROW_BLOCK, n, ka, spec),
-        );
-    }
+    });
 }
 
 /// Packs `op(B)` (K x n) into ceil(n/panel_nr) panels, each K-major and
@@ -208,14 +232,27 @@ pub fn gemm_into_on(
 /// `panel_nr` values is contiguous, so the micro-kernel streams it with unit
 /// stride. The width comes from the active backend's [`GemmSpec`]; packing
 /// layout never affects the per-element chains, so backends with different
-/// widths remain bit-identical.
-fn pack_b(b: &Matrix, tb: bool, k_dim: usize, n: usize, panel_nr: usize) -> Vec<f32> {
+/// widths remain bit-identical. The panels go to the front of the scratch
+/// `buf`; every value of them is written.
+fn pack_b<'s>(
+    buf: &'s mut Vec<f32>,
+    b: &Matrix,
+    tb: bool,
+    k_dim: usize,
+    n: usize,
+    panel_nr: usize,
+) -> &'s [f32] {
     let panels = n.div_ceil(panel_nr);
-    let mut packed = vec![0.0f32; panels * k_dim * panel_nr];
+    let packed = scratch(buf, panels * k_dim * panel_nr);
     for p in 0..panels {
         let j0 = p * panel_nr;
         let nr = panel_nr.min(n - j0);
         let panel = &mut packed[p * k_dim * panel_nr..(p + 1) * k_dim * panel_nr];
+        if nr < panel_nr {
+            for k in 0..k_dim {
+                panel[k * panel_nr + nr..(k + 1) * panel_nr].fill(0.0);
+            }
+        }
         if tb {
             // op(B)[k][j] = B[j][k]: walk B rows j0..j0+nr once each.
             for j in 0..nr {
@@ -252,31 +289,35 @@ fn gemm_row_block(
     let block_rows = chunk.len() / n;
     let panel_nr = spec.nr;
     let panels = n.div_ceil(panel_nr);
-    let mut a_tile = vec![0.0f32; k_dim * MR];
-    let mut strip = 0;
-    while strip < block_rows {
-        let mr = MR.min(block_rows - strip);
-        pack_a_strip(a, ta, i0 + strip, mr, k_dim, &mut a_tile);
-        for p in 0..panels {
-            let j0 = p * panel_nr;
-            let nr = panel_nr.min(n - j0);
-            let panel = &packed_b[p * k_dim * panel_nr..(p + 1) * k_dim * panel_nr];
-            (spec.kernel)(
-                k_dim,
-                &a_tile,
-                panel,
-                &mut chunk[strip * n + j0..],
-                n,
-                mr,
-                nr,
-            );
+    A_TILE.with(|tile| {
+        let mut tile = tile.borrow_mut();
+        let a_tile = scratch(&mut tile, k_dim * MR);
+        let mut strip = 0;
+        while strip < block_rows {
+            let mr = MR.min(block_rows - strip);
+            pack_a_strip(a, ta, i0 + strip, mr, k_dim, a_tile);
+            for p in 0..panels {
+                let j0 = p * panel_nr;
+                let nr = panel_nr.min(n - j0);
+                let panel = &packed_b[p * k_dim * panel_nr..(p + 1) * k_dim * panel_nr];
+                (spec.kernel)(
+                    k_dim,
+                    a_tile,
+                    panel,
+                    &mut chunk[strip * n + j0..],
+                    n,
+                    mr,
+                    nr,
+                );
+            }
+            strip += MR;
         }
-        strip += MR;
-    }
+    });
 }
 
 /// Packs `mr` rows of `op(A)` starting at row `i0` into a K-major MR-wide
-/// tile (`tile[k*MR + i] = op(A)[i0+i][k]`), zero-padding unused rows.
+/// tile (`tile[k*MR + i] = op(A)[i0+i][k]`), zero-padding unused rows: it
+/// writes every value of the tile's first `k_dim * MR`.
 fn pack_a_strip(a: &Matrix, ta: bool, i0: usize, mr: usize, k_dim: usize, tile: &mut [f32]) {
     debug_assert!(tile.len() >= k_dim * MR);
     if ta {
@@ -313,13 +354,16 @@ fn gemm_small(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         let a_strides = if ta { (1, m) } else { (k_dim, 1) };
         let shape = (m, k_dim, n);
         if tb {
-            let mut op_b = vec![0.0f32; k_dim * n];
-            for (j, b_row) in b.as_slice().chunks_exact(k_dim).enumerate() {
-                for (kk, &x) in b_row.iter().enumerate() {
-                    op_b[kk * n + j] = x;
+            OP_B.with(|op_b| {
+                let mut op_b = op_b.borrow_mut();
+                let op_b = scratch(&mut op_b, k_dim * n);
+                for (j, b_row) in b.as_slice().chunks_exact(k_dim).enumerate() {
+                    for (kk, &x) in b_row.iter().enumerate() {
+                        op_b[kk * n + j] = x;
+                    }
                 }
-            }
-            small(shape, a.as_slice(), a_strides, &op_b, out.as_mut_slice());
+                small(shape, a.as_slice(), a_strides, op_b, out.as_mut_slice());
+            });
         } else {
             small(
                 shape,

@@ -8,10 +8,14 @@
 //!
 //! The op set is deliberately small — just what recurrent/attention models
 //! over EHR data need — and every op's backward rule is validated against
-//! finite differences in `crate::gradcheck` tests. The two fused grouped
-//! ops, [`Exec::pair_attention`] and [`Exec::attention_sum`], replay the
-//! rules of their primitive reference and are checked against it bit for
-//! bit instead (see [`crate::exec`]).
+//! finite differences in `crate::gradcheck` tests. The grouped ops
+//! ([`Exec::biel_blocks`], [`Exec::linear_blocks`], [`Exec::gru_blocks`],
+//! [`Exec::pair_attention`], [`Exec::attention_sum`]) are each recorded as
+//! one fused node plus one row view per block; their backward replays the
+//! rules of their primitive reference and is checked against it bit for
+//! bit instead (see [`crate::exec`]). A fused node that touches weights
+//! keeps its per-block weight gradients and hands them to
+//! [`Tape::flush_grads`] in the order the reference's weight leaves would.
 //!
 //! ## Buffer arena
 //!
@@ -23,8 +27,10 @@
 //! this workspace trains (thousands of tiny nodes per batch).
 
 use crate::exec::kernel::{self, GateKind};
-use crate::exec::Exec;
+use crate::exec::{Act, Exec, GruGates, GruScratch, Weights};
+use crate::gemm::gemm_into;
 use crate::matrix::Matrix;
+use crate::nn::{Biel, GruCell, GruParams, Linear};
 use crate::param::{ParamId, ParamStore};
 
 /// Handle to a node on a [`Tape`].
@@ -32,7 +38,7 @@ use crate::param::{ParamId, ParamStore};
 pub struct Var(usize);
 
 /// The operation that produced a node, holding parent handles.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     /// Constant input (no gradient flows past it).
     Leaf,
@@ -69,9 +75,10 @@ enum Op {
     GateAct(Var, Var, Var, GateKind),
     /// Fused GRU state blend: `(1-z) ⊙ h + z ⊙ cand`.
     GruBlend(Var, Var, Var),
-    /// Copy of rows `[start, start + rows)` of a stacked node: the view of
-    /// one block a fused grouped op hands out.
-    Rows(Var, usize),
+    /// Copy of one block's rows of a fused grouped op's stacked node: the
+    /// view of the block the op hands out. Its gradient is read in place by
+    /// the fused node's backward.
+    Block(Var),
     /// [`Exec::pair_attention`] over query and key blocks, stacked.
     PairAttention {
         q: Vec<Var>,
@@ -83,6 +90,94 @@ enum Op {
         alpha: Vec<Var>,
         v: Vec<Var>,
     },
+    /// [`Exec::biel_blocks`], stacked.
+    Biel(Box<BielNode>),
+    /// [`Exec::linear_blocks`] over input blocks, stacked.
+    Linear(Box<LinearNode>),
+    /// [`Exec::gru_blocks`] over input and state blocks, stacked.
+    Gru(Box<GruNode>),
+}
+
+/// Per-block weight gradients a fused node's backward leaves for
+/// [`Tape::flush_grads`], in the order the reference records its parameter
+/// leaves.
+type ParamGrads = Vec<(ParamId, Matrix)>;
+
+/// What [`Op::Biel`] keeps for its backward. Its inputs are data, so
+/// gradients reach only the anchors.
+#[derive(Debug)]
+struct BielNode {
+    biel: Vec<Biel>,
+    step: Matrix,
+    mask: Matrix,
+    grads: ParamGrads,
+}
+
+/// What [`Op::Linear`] keeps for its backward.
+#[derive(Debug)]
+struct LinearNode {
+    x: Vec<Var>,
+    w: ParamId,
+    b: Option<ParamId>,
+    act: Act,
+    /// The weight's value at record time.
+    weight: Matrix,
+    grads: ParamGrads,
+}
+
+/// What [`Op::Gru`] keeps for its backward, per block: the cell's
+/// parameters, its gates, and its weights at record time in the order
+/// `[wz, uz, wr, ur, wh, uh]`.
+#[derive(Debug)]
+struct GruNode {
+    x: Vec<Var>,
+    h: Vec<Var>,
+    params: Vec<GruParams>,
+    gates: Vec<GruGates>,
+    weights: Vec<[Matrix; 6]>,
+    grads: ParamGrads,
+}
+
+impl Op {
+    /// The weight gradients a fused node holds after a backward pass.
+    fn param_grads(&self) -> &[(ParamId, Matrix)] {
+        match self {
+            Op::Biel(n) => &n.grads,
+            Op::Linear(n) => &n.grads,
+            Op::Gru(n) => &n.grads,
+            _ => &[],
+        }
+    }
+}
+
+/// The gradient `act'(y) · g` a fused gate `y = act(a + b + bias)` passes
+/// to each summed operand, with `act'` computed from the output alone:
+/// σ: `y(1-y)`; tanh: `1-y²`.
+#[inline]
+fn gate_deriv(kind: GateKind, gi: f32, yi: f32) -> f32 {
+    match kind {
+        GateKind::Sigmoid => gi * yi * (1.0 - yi),
+        GateKind::Tanh => gi * (1.0 - yi * yi),
+    }
+}
+
+/// The backward of a [`Op::GateAct`] whose output gradient is `g` and
+/// whose operands are fresh: each operand's gradient `0.0 + act'(y)·g`
+/// into `pre`, and the bias gradient, rows added in order, into the zeroed
+/// `db`.
+fn gate_grads(kind: GateKind, g: &Matrix, y: &Matrix, pre: &mut Matrix, db: &mut Matrix) {
+    let cols = y.cols();
+    let db = db.row_mut(0);
+    for ((p, (&gi, &yi)), c) in pre
+        .as_mut_slice()
+        .iter_mut()
+        .zip(g.as_slice().iter().zip(y.as_slice()))
+        .zip((0..cols).cycle())
+    {
+        let d = gate_deriv(kind, gi, yi);
+        *p = 0.0 + d;
+        db[c] += d;
+    }
 }
 
 struct Node {
@@ -96,6 +191,8 @@ pub struct Tape {
     nodes: Vec<Node>,
     /// Recycled `f32` buffers (the arena free-list); see the module docs.
     pool: Vec<Vec<f32>>,
+    /// Scratch of the fused GRU step.
+    gru: GruScratch,
 }
 
 impl Default for Tape {
@@ -110,6 +207,7 @@ impl Tape {
         Tape {
             nodes: Vec::with_capacity(1024),
             pool: Vec::new(),
+            gru: GruScratch::default(),
         }
     }
 
@@ -124,8 +222,47 @@ impl Tape {
             if let Some(g) = node.grad {
                 self.reclaim(g);
             }
+            self.reclaim_op(node.op);
         }
         self.nodes = nodes;
+    }
+
+    /// Returns the buffers a fused node owns to the arena.
+    fn reclaim_op(&mut self, op: Op) {
+        match op {
+            Op::Biel(n) => {
+                let BielNode {
+                    step, mask, grads, ..
+                } = *n;
+                self.reclaim(step);
+                self.reclaim(mask);
+                self.reclaim_grads(grads);
+            }
+            Op::Linear(n) => {
+                self.reclaim(n.weight);
+                self.reclaim_grads(n.grads);
+            }
+            Op::Gru(n) => {
+                let GruNode {
+                    gates,
+                    weights,
+                    grads,
+                    ..
+                } = *n;
+                for GruGates { z, r, rh, cand } in gates {
+                    [z, r, rh, cand].into_iter().for_each(|m| self.reclaim(m));
+                }
+                weights.into_iter().flatten().for_each(|m| self.reclaim(m));
+                self.reclaim_grads(grads);
+            }
+            _ => {}
+        }
+    }
+
+    fn reclaim_grads(&mut self, grads: ParamGrads) {
+        for (_, g) in grads {
+            self.reclaim(g);
+        }
     }
 
     /// Returns a value buffer to the arena.
@@ -148,6 +285,18 @@ impl Tape {
         let mut buf = self.grab();
         buf.resize(rows * cols, 0.0);
         Matrix::from_vec(rows, cols, buf)
+    }
+
+    /// A copy of `m` backed by the arena.
+    fn copy(&mut self, m: &Matrix) -> Matrix {
+        let mut buf = self.grab();
+        buf.extend_from_slice(m.as_slice());
+        Matrix::from_vec(m.rows(), m.cols(), buf)
+    }
+
+    /// An empty matrix backed by the arena, to be shaped by its writer.
+    fn scratch(&mut self) -> Matrix {
+        Matrix::from_vec(0, 0, self.grab())
     }
 
     /// Number of nodes recorded so far.
@@ -189,10 +338,7 @@ impl Tape {
 
     /// Records a parameter leaf by copying its current value from the store.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let mut buf = self.grab();
-        let src = store.value(id);
-        buf.extend_from_slice(src.as_slice());
-        let v = Matrix::from_vec(src.rows(), src.cols(), buf);
+        let v = self.copy(store.value(id));
         self.push(v, Op::Param(id))
     }
 
@@ -416,9 +562,8 @@ impl Tape {
     }
 
     /// Records the stacked result of a fused grouped op (`blocks` blocks of
-    /// equal height) and hands out one [`Op::Rows`] view per block. A view
-    /// no gradient reaches leaves its block's gradient zero, which the
-    /// fused backward passes on as zero terms that change no sum.
+    /// equal height) and hands out one [`Op::Block`] view per block, as the
+    /// nodes right after it.
     fn push_stacked(&mut self, value: Matrix, op: Op, blocks: usize) -> Vec<Var> {
         let (rows, cols) = (value.rows() / blocks, value.cols());
         let stacked = self.push(value, op);
@@ -429,10 +574,7 @@ impl Tape {
                 buf.extend_from_slice(
                     &self.nodes[stacked.0].value.as_slice()[f * block..(f + 1) * block],
                 );
-                self.push(
-                    Matrix::from_vec(rows, cols, buf),
-                    Op::Rows(stacked, f * rows),
-                )
+                self.push(Matrix::from_vec(rows, cols, buf), Op::Block(stacked))
             })
             .collect()
     }
@@ -442,23 +584,20 @@ impl Tape {
     /// node order — blocks `i` and then pairs `j` descending. Each add into
     /// a fresh gradient buffer is kept as `0.0 + x` (which turns `-0.0`
     /// into `+0.0`).
-    fn pair_attention_backward(
-        &mut self,
-        q: &[Var],
-        k: &[Var],
-        scale: f32,
-        out: &Matrix,
-        g: &Matrix,
-    ) {
+    fn pair_attention_backward(&mut self, node: usize, q: &[Var], k: &[Var], scale: f32) {
         let nf = q.len();
-        let batch = out.rows() / nf;
+        let batch = self.nodes[node + 1].value.rows();
         // One block's score-matrix gradient, and one pair's score gradient.
         let mut g_scores = self.alloc_zero(batch, nf);
         let mut g_pair = self.alloc_zero(batch, 1);
         for i in (0..nf).rev() {
+            let Some(g) = self.block_grad(node, i) else {
+                continue;
+            };
             // SoftmaxRows: `y ⊙ (g - <g, y>)` per row.
+            let out = &self.nodes[node + 1 + i].value;
             for r in 0..batch {
-                let (y, g_r) = (out.row(i * batch + r), g.row(i * batch + r));
+                let (y, g_r) = (out.row(r), g.row(r));
                 let dot: f32 = y.iter().zip(g_r).map(|(&y, &gi)| y * gi).sum();
                 for ((o, &y_c), &g_c) in g_scores.row_mut(r).iter_mut().zip(y).zip(g_r) {
                     *o = 0.0 + y_c * (g_c - dot);
@@ -475,6 +614,7 @@ impl Tape {
                 self.add_row_scaled(q[i], g_pair.as_slice(), k[j]);
                 self.add_row_scaled(k[j], g_pair.as_slice(), q[i]);
             }
+            self.put_block_grad(node, i, g);
         }
         self.reclaim(g_scores);
         self.reclaim(g_pair);
@@ -496,15 +636,17 @@ impl Tape {
     /// The backward of [`Op::AttentionSum`]: the rules of the nodes of
     /// [`crate::exec::reference::attention_sum`] in its reverse node order,
     /// as in [`Tape::pair_attention_backward`].
-    fn attention_sum_backward(&mut self, alpha: &[Var], v: &[Var], out: &Matrix, g: &Matrix) {
+    fn attention_sum_backward(&mut self, node: usize, alpha: &[Var], v: &[Var]) {
         let nf = alpha.len();
-        let (batch, d) = (out.rows() / nf, out.cols());
+        let (batch, d) = self.nodes[node + 1].value.shape();
         let mut g_term = self.alloc_zero(batch, d);
         for i in (0..nf).rev() {
+            let Some(g_u) = self.block_grad(node, i) else {
+                continue;
+            };
             // The chain of Adds hands every term `0.0 + g_u`; a lone term is
             // `u` itself and gets `g_u`.
-            let g_u = &g.as_slice()[i * batch * d..(i + 1) * batch * d];
-            for (o, &x) in g_term.as_mut_slice().iter_mut().zip(g_u) {
+            for (o, &x) in g_term.as_mut_slice().iter_mut().zip(g_u.as_slice()) {
                 *o = if nf == 1 { x } else { 0.0 + x };
             }
             for j in (0..nf).rev() {
@@ -533,8 +675,213 @@ impl Tape {
                 }
                 self.nodes[alpha[i].0].grad = Some(g_a);
             }
+            self.put_block_grad(node, i, g_u);
         }
         self.reclaim(g_term);
+    }
+
+    /// The gradient of block `f` of the fused node `i`: its view's (node
+    /// `i + 1 + f`, see [`Tape::push_stacked`]), taken out until
+    /// [`Tape::put_block_grad`]. `None` when no gradient reached the view:
+    /// the reference nodes of such a block get none either, so a fused
+    /// backward skips it — it passes nothing to the block's inputs and
+    /// flushes nothing for its weights.
+    fn block_grad(&mut self, i: usize, f: usize) -> Option<Matrix> {
+        self.nodes[i + 1 + f].grad.take()
+    }
+
+    fn put_block_grad(&mut self, i: usize, f: usize, g: Matrix) {
+        self.nodes[i + 1 + f].grad = Some(g);
+    }
+
+    /// The backward of [`Op::Biel`]: the rules of one feature's nodes in
+    /// [`Biel::forward`], in its reverse node order — the final `Add`, the
+    /// missing-value product, the presence mask, the anchor sum and the two
+    /// anchor products — each add into a fresh buffer kept as `0.0 + x`.
+    /// Each anchor's gradient is a `k = batch` product chain, rows
+    /// ascending.
+    fn biel_backward(&mut self, i: usize, node: &mut BielNode) {
+        let grads = std::mem::take(&mut node.grads);
+        self.reclaim_grads(grads);
+        let batch = node.step.rows();
+        for (f, ch) in node.biel.iter().enumerate() {
+            let Some(g) = self.block_grad(i, f) else {
+                continue;
+            };
+            let dim = g.cols();
+            let [mut dva, mut dvb, mut dvm] = [(); 3].map(|_| self.alloc_zero(1, dim));
+            let (dva_r, dvb_r, dvm_r) = (dva.row_mut(0), dvb.row_mut(0), dvm.row_mut(0));
+            for r in 0..batch {
+                let (wa, wb, present) = ch.weights(node.step[(r, f)], node.mask[(r, f)]);
+                let (on, off) = (f32::from(present), f32::from(!present));
+                for (c, &gi) in g.row(r).iter().enumerate() {
+                    let g_out = 0.0 + gi;
+                    dvm_r[c] += off * g_out;
+                    let g_present = 0.0 + g_out * on;
+                    let g_anchor = 0.0 + g_present;
+                    dvb_r[c] += wb * g_anchor;
+                    dva_r[c] += wa * g_anchor;
+                }
+            }
+            let (a, b, m) = ch.params();
+            node.grads.extend([(a, dva), (b, dvb), (m, dvm)]);
+            self.put_block_grad(i, f, g);
+        }
+    }
+
+    /// The backward of [`Op::Linear`]: per live block, blocks descending,
+    /// the rules of the reference's `Tanh`, `AddRowBroadcast` and `MatMul`
+    /// nodes in reverse order, each add into a fresh buffer kept as
+    /// `0.0 + x`. The input's gradient takes `g · Wᵀ` as one product chain
+    /// from its prior value; each block's `W` and `b` gradients go to fresh
+    /// buffers, flushed one block at a time in block order.
+    fn linear_backward(&mut self, i: usize, node: &mut LinearNode) {
+        let grads = std::mem::take(&mut node.grads);
+        self.reclaim_grads(grads);
+        let (batch, n_out) = self.nodes[i + 1].value.shape();
+        let mut g_xw = self.alloc_zero(batch, n_out);
+        for (f, &x) in node.x.iter().enumerate().rev() {
+            let Some(g) = self.block_grad(i, f) else {
+                continue;
+            };
+            let y = &self.nodes[i + 1 + f].value;
+            for ((o, &gi), &yi) in g_xw
+                .as_mut_slice()
+                .iter_mut()
+                .zip(g.as_slice())
+                .zip(y.as_slice())
+            {
+                *o = match node.act {
+                    Act::Tanh => 0.0 + gi * (1.0 - yi * yi),
+                    Act::Identity => gi,
+                };
+            }
+            let bias_grad = node.b.map(|b| {
+                let mut db = self.alloc_zero(1, n_out);
+                for r in 0..batch {
+                    for (d, &gy) in db.row_mut(0).iter_mut().zip(g_xw.row(r)) {
+                        *d += gy;
+                    }
+                }
+                // Both land in fresh buffers: `0.0 + x`.
+                db.as_mut_slice().iter_mut().for_each(|d| *d += 0.0);
+                g_xw.as_mut_slice().iter_mut().for_each(|o| *o += 0.0);
+                (b, db)
+            });
+            self.add_product_nt(x, &g_xw, &node.weight);
+            let mut dw = self.alloc_zero(node.weight.rows(), n_out);
+            gemm_into(true, false, &self.nodes[x.0].value, &g_xw, &mut dw, true);
+            // Reversed with the blocks below.
+            node.grads.extend(bias_grad);
+            node.grads.push((node.w, dw));
+            self.put_block_grad(i, f, g);
+        }
+        node.grads.reverse();
+        self.reclaim(g_xw);
+    }
+
+    /// The backward of [`Op::Gru`]: per live block, blocks descending, the
+    /// rules of the nodes of [`GruCell::step`] in its reverse node order —
+    /// blend, candidate gate, `r⊙h · Uh`, `x · Wh`, `r ⊙ h`, reset gate,
+    /// `h · Ur`, `x · Wr`, update gate, `h · Uz`, `x · Wz` — each add into a
+    /// fresh buffer kept as `0.0 + x`. So `x`'s gradient takes
+    /// `[g_h|g_r|g_z] · [Wh|Wr|Wz]ᵀ` and `h`'s, after the blend and `r ⊙ h`
+    /// terms, `[g_r|g_z] · [Ur|Uz]ᵀ`, each one product chain from its prior
+    /// value; every weight gradient goes to a fresh buffer, flushed in block
+    /// order.
+    fn gru_backward(&mut self, i: usize, node: &mut GruNode) {
+        use GateKind::{Sigmoid, Tanh};
+        let grads = std::mem::take(&mut node.grads);
+        self.reclaim_grads(grads);
+        let (batch, hid) = self.nodes[i + 1].value.shape();
+        // One block's gradients of the gate outputs (`gz`, `gr`, `gc`), of
+        // `r⊙h`, and of the gates' pre-activations (`pz`, `pr`, `pc`: what
+        // each gate's two products receive).
+        let [mut gz, mut gr, mut gc, mut grh, mut pz, mut pr, mut pc] =
+            [(); 7].map(|_| self.alloc_zero(batch, hid));
+        for f in (0..node.x.len()).rev() {
+            let Some(g) = self.block_grad(i, f) else {
+                continue;
+            };
+            let (x, h, p) = (node.x[f], node.h[f], node.params[f]);
+            let GruGates { z, r, rh, cand } = &node.gates[f];
+            let [wz, uz, wr, ur, wh, uh] = &node.weights[f];
+            let in_dim = wz.rows();
+            let [mut dwz, mut dwr, mut dwh] = [(); 3].map(|_| self.alloc_zero(in_dim, hid));
+            let [mut duz, mut dur, mut duh] = [(); 3].map(|_| self.alloc_zero(hid, hid));
+            let [mut dbz, mut dbr, mut dbh] = [(); 3].map(|_| self.alloc_zero(1, hid));
+            // GruBlend: dz += g⊙(cand-h); dh += g⊙(1-z); dcand += g⊙z.
+            let mut gh = self.take_grad(h);
+            let hv = &self.nodes[h.0].value;
+            for ((((o_z, o_h), o_c), &gi), ((&zi, &hi), &ci)) in gz
+                .as_mut_slice()
+                .iter_mut()
+                .zip(gh.as_mut_slice())
+                .zip(gc.as_mut_slice())
+                .zip(g.as_slice())
+                .zip(z.as_slice().iter().zip(hv.as_slice()).zip(cand.as_slice()))
+            {
+                *o_z = 0.0 + gi * (ci - hi);
+                *o_h += gi * (1.0 - zi);
+                *o_c = 0.0 + gi * zi;
+            }
+            self.nodes[h.0].grad = Some(gh);
+            gate_grads(Tanh, &gc, cand, &mut pc, &mut dbh);
+            grh.fill_zero();
+            gemm_into(false, true, &pc, uh, &mut grh, true);
+            gemm_into(true, false, rh, &pc, &mut duh, true);
+            self.add_product_nt(x, &pc, wh);
+            gemm_into(true, false, &self.nodes[x.0].value, &pc, &mut dwh, true);
+            // Mul(r, h): r's gradient, then h's.
+            let mut gh = self.take_grad(h);
+            let hv = &self.nodes[h.0].value;
+            for (((o_r, o_h), &gi), (&hi, &ri)) in gr
+                .as_mut_slice()
+                .iter_mut()
+                .zip(gh.as_mut_slice())
+                .zip(grh.as_slice())
+                .zip(hv.as_slice().iter().zip(r.as_slice()))
+            {
+                *o_r = 0.0 + gi * hi;
+                *o_h += gi * ri;
+            }
+            self.nodes[h.0].grad = Some(gh);
+            gate_grads(Sigmoid, &gr, r, &mut pr, &mut dbr);
+            self.add_product_nt(h, &pr, ur);
+            gemm_into(true, false, &self.nodes[h.0].value, &pr, &mut dur, true);
+            self.add_product_nt(x, &pr, wr);
+            gemm_into(true, false, &self.nodes[x.0].value, &pr, &mut dwr, true);
+            gate_grads(Sigmoid, &gz, z, &mut pz, &mut dbz);
+            self.add_product_nt(h, &pz, uz);
+            gemm_into(true, false, &self.nodes[h.0].value, &pz, &mut duz, true);
+            self.add_product_nt(x, &pz, wz);
+            gemm_into(true, false, &self.nodes[x.0].value, &pz, &mut dwz, true);
+            // Reversed with the blocks below.
+            node.grads.extend([
+                (p.bh, dbh),
+                (p.uh, duh),
+                (p.wh, dwh),
+                (p.br, dbr),
+                (p.ur, dur),
+                (p.wr, dwr),
+                (p.bz, dbz),
+                (p.uz, duz),
+                (p.wz, dwz),
+            ]);
+            self.put_block_grad(i, f, g);
+        }
+        node.grads.reverse();
+        for m in [gz, gr, gc, grh, pz, pr, pc] {
+            self.reclaim(m);
+        }
+    }
+
+    /// `grad(dst) += a · bᵀ`: the input operand's rule of a `MatMul` by
+    /// `b`, as one product chain from the prior gradient.
+    fn add_product_nt(&mut self, dst: Var, a: &Matrix, b: &Matrix) {
+        let mut grad = self.take_grad(dst);
+        gemm_into(false, true, a, b, &mut grad, true);
+        self.nodes[dst.0].grad = Some(grad);
     }
 
     // ------------------------------------------------------------- backward
@@ -577,15 +924,18 @@ impl Tape {
             let Some(g) = self.nodes[i].grad.take() else {
                 continue;
             };
-            let op = self.nodes[i].op.clone();
-            let out_value = std::mem::replace(&mut self.nodes[i].value, Matrix::zeros(0, 0));
-            self.propagate(&op, &out_value, &g);
+            let mut op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
+            let out_value = std::mem::take(&mut self.nodes[i].value);
+            self.propagate(i, &mut op, &out_value, &g);
             self.nodes[i].value = out_value;
             self.nodes[i].grad = Some(g);
+            self.nodes[i].op = op;
         }
     }
 
-    fn propagate(&mut self, op: &Op, out: &Matrix, g: &Matrix) {
+    /// Passes node `i`'s gradient `g` back to its parents by the rule of
+    /// its `op` (taken out of the node meanwhile); `out` is its value.
+    fn propagate(&mut self, i: usize, op: &mut Op, out: &Matrix, g: &Matrix) {
         match op {
             Op::Leaf | Op::Param(_) => {}
             Op::MatMul(a, b) => {
@@ -634,20 +984,24 @@ impl Tape {
                 self.nodes[b.0].grad = Some(gb);
             }
             Op::MulColBroadcast(a, w) => {
-                let wm = self.nodes[w.0].value.clone();
-                let am = self.nodes[a.0].value.clone();
-                // dA[r,c] = g[r,c] * w[r]
-                let mut da = g.clone();
-                for r in 0..da.rows() {
+                // dA[r,c] += g[r,c] * w[r]
+                let mut ga = self.take_grad(*a);
+                let wm = &self.nodes[w.0].value;
+                for r in 0..g.rows() {
                     let s = wm[(r, 0)];
-                    for c in 0..da.cols() {
-                        da[(r, c)] *= s;
+                    for (o, &gi) in ga.row_mut(r).iter_mut().zip(g.row(r)) {
+                        *o += gi * s;
                     }
                 }
-                self.grad_buf(*a).add_assign(&da);
-                // dW[r] = sum_c g[r,c] * a[r,c]
-                let dw = g.mul(&am).sum_cols();
-                self.grad_buf(*w).add_assign(&dw);
+                self.nodes[a.0].grad = Some(ga);
+                // dW[r] += sum_c g[r,c] * a[r,c]
+                let mut gw = self.take_grad(*w);
+                let am = &self.nodes[a.0].value;
+                for r in 0..g.rows() {
+                    let dw: f32 = g.row(r).iter().zip(am.row(r)).map(|(&gi, &x)| gi * x).sum();
+                    gw[(r, 0)] += dw;
+                }
+                self.nodes[w.0].grad = Some(gw);
             }
             Op::Scale(a, s) => {
                 self.grad_buf(*a).add_scaled_assign(g, *s);
@@ -747,6 +1101,7 @@ impl Tape {
                 }
             }
             Op::SliceCols(a, start) => {
+                let start = *start;
                 let (r, _) = g.shape();
                 let buf = self.grad_buf(*a);
                 for i in 0..r {
@@ -773,14 +1128,9 @@ impl Tape {
                 self.grad_buf(*pred).add_assign(&dp);
             }
             Op::GateAct(a, b, bias, kind) => {
-                // Pre-activation gradient gp = g · act'(y), with act'
-                // computed from the output value alone:
-                // σ: y(1-y); tanh: 1-y². Both summed operands receive gp,
-                // the bias receives its column sums.
-                let deriv = |gi: f32, yi: f32| match kind {
-                    GateKind::Sigmoid => gi * yi * (1.0 - yi),
-                    GateKind::Tanh => gi * (1.0 - yi * yi),
-                };
+                // Both summed operands receive the pre-activation gradient
+                // `act'(y) · g`, the bias its column sums.
+                let deriv = |gi: f32, yi: f32| gate_deriv(*kind, gi, yi);
                 let mut ga = self.take_grad(*a);
                 for ((o, &gi), &yi) in ga
                     .as_mut_slice()
@@ -847,42 +1197,49 @@ impl Tape {
                 }
                 self.nodes[cand.0].grad = Some(gc);
             }
-            Op::Rows(a, start) => {
-                let mut ga = self.take_grad(*a);
-                let cols = g.cols();
-                let rows = &mut ga.as_mut_slice()[start * cols..(start + g.rows()) * cols];
-                for (o, &gi) in rows.iter_mut().zip(g.as_slice()) {
-                    *o += gi;
-                }
-                self.nodes[a.0].grad = Some(ga);
+            Op::Block(a) => {
+                // Marks the fused node reached; its backward reads this
+                // gradient from the view (see `Tape::block_grad`).
+                self.nodes[a.0].grad.get_or_insert_with(Matrix::default);
             }
-            Op::PairAttention { q, k, scale } => self.pair_attention_backward(q, k, *scale, out, g),
-            Op::AttentionSum { alpha, v } => self.attention_sum_backward(alpha, v, out, g),
+            Op::PairAttention { q, k, scale } => self.pair_attention_backward(i, q, k, *scale),
+            Op::AttentionSum { alpha, v } => self.attention_sum_backward(i, alpha, v),
+            Op::Biel(node) => self.biel_backward(i, node),
+            Op::Linear(node) => self.linear_backward(i, node),
+            Op::Gru(node) => self.gru_backward(i, node),
         }
     }
 
-    /// Accumulates parameter-leaf gradients into the store.
+    /// Calls `f` with every weight gradient in recording order: each
+    /// parameter leaf's, and each fused node's per-block ones in the order
+    /// its reference records their leaves. So every [`ParamId`] receives
+    /// the same gradients in the same order as from the reference. Nodes
+    /// whose gradient never materialised (dead branches) are skipped.
+    fn for_each_param_grad(&self, mut f: impl FnMut(ParamId, &Matrix)) {
+        for node in &self.nodes {
+            if let (Op::Param(id), Some(g)) = (&node.op, &node.grad) {
+                f(*id, g);
+            }
+            for (id, g) in node.op.param_grads() {
+                f(*id, g);
+            }
+        }
+    }
+
+    /// Accumulates parameter gradients into the store.
     ///
     /// Call after [`Tape::backward`]. Nodes whose gradient never materialised
     /// (dead branches) are skipped.
     pub fn flush_grads(&self, store: &mut ParamStore) {
-        for node in &self.nodes {
-            if let (Op::Param(id), Some(g)) = (&node.op, &node.grad) {
-                store.accumulate_grad(*id, g);
-            }
-        }
+        self.for_each_param_grad(|id, g| store.accumulate_grad(id, g));
     }
 
-    /// Accumulates parameter-leaf gradients into a detached
+    /// Accumulates parameter gradients into a detached
     /// [`crate::param::GradBuffer`] instead of the shared store — the
     /// per-shard half of data-parallel training, where workers must not
     /// touch the store concurrently.
     pub fn flush_grads_into(&self, buf: &mut crate::param::GradBuffer) {
-        for node in &self.nodes {
-            if let (Op::Param(id), Some(g)) = (&node.op, &node.grad) {
-                buf.accumulate(*id, g);
-            }
-        }
+        self.for_each_param_grad(|id, g| buf.accumulate(id, g));
     }
 }
 
@@ -979,6 +1336,104 @@ impl Exec for Tape {
 
     fn block_row<'s>(&'s self, g: &'s Vec<Var>, f: usize, r: usize) -> &'s [f32] {
         Tape::value(self, g[f]).row(r)
+    }
+
+    fn biel_blocks(
+        &mut self,
+        ps: &ParamStore,
+        biel: &[Biel],
+        step: &Matrix,
+        mask: &Matrix,
+    ) -> Vec<Var> {
+        if biel.is_empty() {
+            return Vec::new();
+        }
+        let buf = self.grab();
+        let value = kernel::biel(buf, ps, biel, step, mask);
+        let node = BielNode {
+            biel: biel.to_vec(),
+            step: self.copy(step),
+            mask: self.copy(mask),
+            grads: Vec::new(),
+        };
+        self.push_stacked(value, Op::Biel(Box::new(node)), biel.len())
+    }
+
+    fn linear_blocks(
+        &mut self,
+        ps: &ParamStore,
+        layer: &Linear,
+        x: &Vec<Var>,
+        act: Act,
+    ) -> Vec<Var> {
+        if x.is_empty() {
+            return Vec::new();
+        }
+        let shape = self.nodes[x[0].0].value.shape();
+        let mut buf = self.grab();
+        for block in self.block_values(x, shape) {
+            buf.extend_from_slice(block);
+        }
+        let stacked = Matrix::from_vec(x.len() * shape.0, shape.1, buf);
+        let mut value = self.scratch();
+        Weights::f32(ps).linear(layer, &stacked, act, &mut value);
+        self.reclaim(stacked);
+        let node = LinearNode {
+            x: x.clone(),
+            w: layer.weight(),
+            b: layer.bias(),
+            act,
+            weight: self.copy(ps.value(layer.weight())),
+            grads: Vec::new(),
+        };
+        self.push_stacked(value, Op::Linear(Box::new(node)), x.len())
+    }
+
+    fn gru_blocks(
+        &mut self,
+        ps: &ParamStore,
+        cells: &[GruCell],
+        x: &Vec<Var>,
+        h: &Vec<Var>,
+    ) -> Vec<Var> {
+        assert_eq!(cells.len(), x.len(), "one GRU cell per input block");
+        assert_eq!(h.len(), x.len(), "GRU input and state block counts differ");
+        if x.is_empty() {
+            return Vec::new();
+        }
+        let (batch, hid) = self.nodes[h[0].0].value.shape();
+        let n = batch * hid;
+        let mut value = self.alloc_zero(x.len() * batch, hid);
+        let mut gates = Vec::with_capacity(cells.len());
+        let mut weights = Vec::with_capacity(cells.len());
+        for (f, cell) in cells.iter().enumerate() {
+            let p = cell.params();
+            let mut step = GruGates {
+                z: self.scratch(),
+                r: self.scratch(),
+                rh: self.scratch(),
+                cand: self.scratch(),
+            };
+            let (xv, hv) = (&self.nodes[x[f].0].value, &self.nodes[h[f].0].value);
+            assert_eq!(
+                hv.shape(),
+                (batch, hid),
+                "grouped values must share a shape"
+            );
+            let out = &mut value.as_mut_slice()[f * n..(f + 1) * n];
+            self.gru.step(Weights::f32(ps), p, (xv, hv), &mut step, out);
+            gates.push(step);
+            weights.push([p.wz, p.uz, p.wr, p.ur, p.wh, p.uh].map(|id| self.copy(ps.value(id))));
+        }
+        let node = GruNode {
+            x: x.clone(),
+            h: h.clone(),
+            params: cells.iter().map(GruCell::params).collect(),
+            gates,
+            weights,
+            grads: Vec::new(),
+        };
+        self.push_stacked(value, Op::Gru(Box::new(node)), x.len())
     }
 
     fn pair_attention(&mut self, q: &Vec<Var>, k: &Vec<Var>, scale: f32) -> Vec<Var> {
