@@ -1,6 +1,6 @@
 CARGO ?= cargo
 
-.PHONY: verify build test test-scalar clippy fmt perfbench-test bench-discovery bench-smoke serve-smoke trace-smoke chaos-smoke load-smoke fleet-smoke stream-smoke
+.PHONY: verify build test test-scalar check-math clippy fmt perfbench-test bench-discovery bench-smoke serve-smoke trace-smoke chaos-smoke load-smoke fleet-smoke stream-smoke
 
 ## Seeds the chaos harness runs at (CI runs all three and uploads the logs).
 CHAOS_SEEDS ?= 42 7 1234
@@ -27,6 +27,13 @@ test:
 test-scalar:
 	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet-tensor
 	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet --test forward_pins --test infer_identity --test quant_snapshot --test tape_training_bits
+
+## Exhaustive check of the vector transcendentals (`crates/tensor/src/math.rs`):
+## every one of the 2^32 f32 inputs through every vector port this CPU
+## runs, compared bit for bit with libm. Minutes per port, so it is kept
+## out of `make test`; CI runs it as its own step.
+check-math:
+	$(CARGO) test --release -q -p cohortnet-tensor --lib math::tests::exhaustive -- --ignored --nocapture
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings

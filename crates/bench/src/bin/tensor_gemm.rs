@@ -1,7 +1,8 @@
 //! Tensor kernel micro-benchmarks — blocked GEMM vs the naive triple loop,
 //! the model's own small products on both GEMM paths (the evidence for the
 //! small/packed threshold), the SIMD backends against each other, and the
-//! int8 quantized kernel against f32 — written to `BENCH_tensor.json`.
+//! int8 quantized kernel against f32, and the vector `exp`/`tanh`/`sigmoid`
+//! against libm — written to `BENCH_tensor.json`.
 //!
 //! Every f32 configuration is checked bit-identical against the branch-free
 //! naive reference before it is timed: a kernel that drifts by one ULP is a
@@ -26,6 +27,7 @@ use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
 use cohortnet_metrics::{pr_auc, roc_auc};
 use cohortnet_models::data::prepare;
 use cohortnet_tensor::gemm::{gemm_into, gemm_into_on, gemm_path, set_gemm_threads, GemmPath};
+use cohortnet_tensor::math::{self, Func};
 use cohortnet_tensor::quant::{qgemm, QuantMatrix};
 use cohortnet_tensor::simd::{self, set_backend, supported_backends, Backend};
 use cohortnet_tensor::Matrix;
@@ -98,6 +100,75 @@ struct SimdRow {
     sec: f64,
     gflops: f64,
     speedup_vs_scalar: f64,
+}
+
+struct TransRow {
+    func: &'static str,
+    backend: Backend,
+    len: usize,
+    path: &'static str,
+    libm_ns: f64,
+    vector_ns: f64,
+}
+
+/// Nanoseconds per element of each slice transcendental on every supported
+/// backend against its scalar libm loop, at the model's row widths (16 and
+/// 20: batch-1 gate and attention rows) and a long row (512). Inputs are
+/// uniform in `[-3, 3)`, where the gates and softmaxes live; outputs are
+/// checked bit-equal to libm before timing.
+fn bench_transcendentals(reps: usize, rng: &mut StdRng) -> Vec<TransRow> {
+    // Name, slice kernel, scalar reference, and the port it runs on
+    // (sigmoid runs on the `exp` port).
+    type Case = (&'static str, fn(&mut [f32]), fn(f32) -> f32, Func);
+    let funcs: [Case; 3] = [
+        ("exp", math::exp, f32::exp, Func::Exp),
+        ("tanh", math::tanh, f32::tanh, Func::Tanh),
+        (
+            "sigmoid",
+            math::sigmoid,
+            |x| 1.0 / (1.0 + (-x).exp()),
+            Func::Exp,
+        ),
+    ];
+    let mut rows = Vec::new();
+    for len in [16, 20, 512] {
+        let xs: Vec<f32> = (0..len).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
+        // About 200k elements per timed rep.
+        let iters = 200_000 / len;
+        let mut buf = vec![0.0f32; len];
+        for (func, vector, scalar, port) in funcs {
+            let want: Vec<f32> = xs.iter().map(|&x| scalar(x)).collect();
+            let libm_ns = time_ns(reps, iters, || {
+                buf.copy_from_slice(&xs);
+                buf.iter_mut().for_each(|x| *x = scalar(*x));
+                std::hint::black_box(&mut buf);
+            }) / len as f64;
+            for backend in supported_backends() {
+                assert!(set_backend(backend));
+                buf.copy_from_slice(&xs);
+                vector(&mut buf);
+                for (g, w) in buf.iter().zip(&want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{func} drifted on {backend:?}");
+                }
+                let vector_ns = time_ns(reps, iters, || {
+                    buf.copy_from_slice(&xs);
+                    vector(&mut buf);
+                    std::hint::black_box(&mut buf);
+                }) / len as f64;
+                rows.push(TransRow {
+                    func,
+                    backend,
+                    len,
+                    path: port.path(),
+                    libm_ns,
+                    vector_ns,
+                });
+            }
+        }
+    }
+    assert!(set_backend(simd::detect()));
+    eprintln!("[tensor_gemm] transcendentals done");
+    rows
 }
 
 struct QuantReport {
@@ -400,6 +471,7 @@ fn main() {
     let small_rows = bench_small(reps, &mut rng);
     let simd_rows = bench_simd(simd_size, reps, &mut rng);
     let quant = bench_quant(simd_size, reps, &mut rng);
+    let trans_rows = bench_transcendentals(reps, &mut rng);
 
     println!("== Blocked GEMM vs naive triple loop (bit-identical outputs) ==\n");
     let table: Vec<Vec<String>> = rows
@@ -498,6 +570,29 @@ fn main() {
         quant.pr_auc_int8 - quant.pr_auc_f32,
     );
 
+    println!("\n== Slice transcendentals per element, vector vs libm (bit-equal outputs) ==\n");
+    let table: Vec<Vec<String>> = trans_rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.func.to_string(),
+                r.backend.name().to_string(),
+                r.len.to_string(),
+                r.path.to_string(),
+                format!("{:.2}ns", r.libm_ns),
+                format!("{:.2}ns", r.vector_ns),
+                format!("{:.2}x", r.libm_ns / r.vector_ns),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &["func", "backend", "len", "path", "libm", "vector", "speedup"],
+            &table
+        )
+    );
+
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     out.push_str(&format!(
@@ -567,7 +662,7 @@ auto-vectorized by LLVM to SSE2 width, not a naive loop\",\n    \"backends\": [\
          \"int8_sec\": {:.6}, \"int8_gops\": {:.3}, \"int8_weight_gbytes_per_sec\": {:.3},\n    \
          \"int8_effective_gbytes_per_sec\": {:.3}, \"weight_bandwidth_amplification\": {:.3},\n    \
          \"auc_f32\": {:.6}, \"auc_int8\": {:.6}, \"auc_drift\": {:.6},\n    \
-         \"pr_auc_f32\": {:.6}, \"pr_auc_int8\": {:.6}, \"pr_auc_drift\": {:.6}\n  }}\n",
+         \"pr_auc_f32\": {:.6}, \"pr_auc_int8\": {:.6}, \"pr_auc_drift\": {:.6}\n  }},\n",
         quant.m,
         quant.k,
         quant.n,
@@ -587,7 +682,25 @@ auto-vectorized by LLVM to SSE2 width, not a naive loop\",\n    \"backends\": [\
         quant.pr_auc_int8,
         quant.pr_auc_int8 - quant.pr_auc_f32,
     ));
-    out.push_str("}\n");
+    out.push_str(&format!(
+        "  \"transcendentals\": {{\n    \"reps\": {reps}, \"unit\": \"ns per element, best of reps\",\n    \
+         \"inputs\": \"uniform in [-3, 3)\",\n    \"rows\": [\n"
+    ));
+    for (i, r) in trans_rows.iter().enumerate() {
+        out.push_str(&format!(
+            "      {{\"func\": \"{}\", \"backend\": \"{}\", \"len\": {}, \"path\": \"{}\", \
+             \"libm_ns\": {:.3}, \"vector_ns\": {:.3}, \"speedup\": {:.3}}}{}\n",
+            r.func,
+            r.backend.name(),
+            r.len,
+            r.path,
+            r.libm_ns,
+            r.vector_ns,
+            r.libm_ns / r.vector_ns,
+            if i + 1 < trans_rows.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("    ]\n  }\n}\n");
     match std::fs::write("BENCH_tensor.json", &out) {
         Ok(()) => eprintln!("[tensor_gemm] wrote BENCH_tensor.json"),
         Err(e) => eprintln!("[tensor_gemm] could not write BENCH_tensor.json: {e}"),

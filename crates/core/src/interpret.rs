@@ -19,6 +19,7 @@ use cohortnet_ehr::features::FeatureDef;
 use cohortnet_ehr::record::EhrDataset;
 use cohortnet_ehr::standardize::Standardizer;
 use cohortnet_models::data::{make_batch, Prepared};
+use cohortnet_tensor::math::sigmoid;
 use cohortnet_tensor::{Eager, Exec, Matrix, ParamStore};
 
 /// The state grid of every patient in a dataset.
@@ -268,10 +269,6 @@ pub struct PatientExplanation {
     pub attention: Vec<Matrix>,
 }
 
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
 /// Explains one patient of a prepared dataset.
 ///
 /// # Panics
@@ -292,18 +289,10 @@ pub fn explain_patient(
     let cem_trace = trace.cem.as_ref().expect("cohorts active");
     let states = trace.states.as_ref().unwrap();
 
-    let base_prob: Vec<f32> = e
-        .value(&trace.mflm.logits)
-        .row(0)
-        .iter()
-        .map(|&z| sigmoid(z))
-        .collect();
-    let full_prob: Vec<f32> = e
-        .value(&trace.logits)
-        .row(0)
-        .iter()
-        .map(|&z| sigmoid(z))
-        .collect();
+    let mut base_prob = e.value(&trace.mflm.logits).row(0).to_vec();
+    sigmoid(&mut base_prob);
+    let mut full_prob = e.value(&trace.logits).row(0).to_vec();
+    sigmoid(&mut full_prob);
 
     // w^c slices per feature (first label column).
     let wc = ps.value(model.cem.head().weight());

@@ -283,6 +283,7 @@ impl App for FleetApp {
                 "simd_backend",
                 Json::Str(cohortnet_tensor::simd::active().name().into()),
             ),
+            ("transcendentals", cohortnet_serve::ops::transcendentals()),
             ("quant", Json::Bool(model.inferencer.quantized())),
             ("max_batch", Json::Num(self.engine_cfg.max_batch as f64)),
             (

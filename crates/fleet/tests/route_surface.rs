@@ -183,6 +183,11 @@ fn every_app_answers_the_shared_routes_identically() {
     let loaded = || load_snapshot(text).expect("demo snapshot loads");
     let fingerprint = loaded().fingerprint_hex();
     let simd = cohortnet_tensor::simd::active().name();
+    let (exp, tanh) = {
+        use cohortnet_tensor::math::Func;
+        (Func::Exp.path(), Func::Tanh.path())
+    };
+    let transcendentals = format!("{{\"exp\":\"{exp}\",\"tanh\":\"{tanh}\"}}");
 
     let single = walk(serve(loaded(), server_config()).expect("serve starts"));
     let stream = walk(
@@ -213,7 +218,7 @@ fn every_app_answers_the_shared_routes_identically() {
          \"max_batch\":16,\"max_delay_us\":0,\"quant\":false,\"queue_cap\":1024,\
          \"read_timeout_ms\":10000,\"simd_backend\":\"{simd}\",\
          \"snapshot_fingerprint\":\"{fingerprint}\",\"trace_enabled\":{trace},\
-         \"workers\":16}}"
+         \"transcendentals\":{transcendentals},\"workers\":16}}"
     );
     let fleet_config = format!(
         "{{\"deadline_ms\":0,\"engine_threads\":1,\"flight_dropped\":0,\
@@ -221,7 +226,7 @@ fn every_app_answers_the_shared_routes_identically() {
          \"max_delay_us\":0,\"n_replicas\":2,\"policy\":\"least-loaded\",\
          \"quant\":false,\"queue_cap\":1024,\"reloads\":0,\"role\":\"fleet\",\
          \"simd_backend\":\"{simd}\",\"snapshot_fingerprint\":\"{fingerprint}\",\
-         \"trace_enabled\":{trace}}}"
+         \"trace_enabled\":{trace},\"transcendentals\":{transcendentals}}}"
     );
 
     let (config, explain, cohorts) = check("serve", &single);

@@ -245,7 +245,8 @@ pub fn predict_probs(
     let mut out = Vec::with_capacity(prep.patients.len() * prep.n_labels);
     for chunk in indices.chunks(batch_size.max(1)) {
         let batch = make_batch(prep, chunk);
-        let probs = model.predict(ps, &batch).map(|z| 1.0 / (1.0 + (-z).exp()));
+        let mut probs = model.predict(ps, &batch);
+        cohortnet_tensor::math::sigmoid(probs.as_mut_slice());
         out.extend_from_slice(probs.as_slice());
     }
     out

@@ -79,6 +79,18 @@ pub fn on(req: &Request, method: &str, handler: impl FnOnce() -> AppResponse) ->
     }
 }
 
+/// The `/debug/config` `transcendentals` object: `"vector"` or `"libm"`
+/// for each of `exp` and `tanh` on the active SIMD backend, so a replica
+/// whose start-up self-check fell back to libm shows.
+pub fn transcendentals() -> Json {
+    Json::Obj(
+        cohortnet_tensor::math::Func::ALL
+            .iter()
+            .map(|f| (f.name().to_string(), Json::Str(f.path().into())))
+            .collect(),
+    )
+}
+
 /// The `{"status": "shutting down"}` body `POST /shutdown` answers with.
 fn shutdown_body() -> String {
     json::render(&obj(vec![("status", Json::Str("shutting down".into()))]))

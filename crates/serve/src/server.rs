@@ -570,6 +570,7 @@ impl App for ScoreApp {
                 "simd_backend",
                 Json::Str(cohortnet_tensor::simd::active().name().into()),
             ),
+            ("transcendentals", crate::ops::transcendentals()),
             ("quant", Json::Bool(self.model.inferencer.quantized())),
             ("max_batch", Json::Num(cfg.max_batch as f64)),
             ("max_delay_us", Json::Num(cfg.max_delay_us as f64)),

@@ -378,14 +378,26 @@ pub(crate) mod kernel {
         map(buf, a, |x| x * s)
     }
 
+    /// A copy of `a` in `buf`.
+    #[inline]
+    fn copied(buf: Vec<f32>, a: &Matrix) -> Matrix {
+        let mut buf = sized(buf, a.len());
+        buf.extend_from_slice(a.as_slice());
+        Matrix::from_vec(a.rows(), a.cols(), buf)
+    }
+
     #[inline]
     pub(crate) fn sigmoid(buf: Vec<f32>, a: &Matrix) -> Matrix {
-        map(buf, a, |x| 1.0 / (1.0 + (-x).exp()))
+        let mut out = copied(buf, a);
+        crate::math::sigmoid(out.as_mut_slice());
+        out
     }
 
     #[inline]
     pub(crate) fn tanh(buf: Vec<f32>, a: &Matrix) -> Matrix {
-        map(buf, a, f32::tanh)
+        let mut out = copied(buf, a);
+        crate::math::tanh(out.as_mut_slice());
+        out
     }
 
     #[inline]
@@ -414,7 +426,8 @@ pub(crate) mod kernel {
 
     /// `act(a + b + bias)`. The pre-activation `(x + y) + c` is
     /// SIMD-dispatched (lane-per-element, scalar add order — bit-identical
-    /// across backends); the transcendental stays scalar libm.
+    /// across backends), and so is the activation: [`crate::math`]'s
+    /// vector `exp`/`tanh` return libm's exact bits.
     #[inline]
     pub(crate) fn gate(
         buf: Vec<f32>,
@@ -451,8 +464,8 @@ pub(crate) mod kernel {
             );
         }
         match kind {
-            GateKind::Sigmoid => dst.iter_mut().for_each(|p| *p = 1.0 / (1.0 + (-*p).exp())),
-            GateKind::Tanh => dst.iter_mut().for_each(|p| *p = p.tanh()),
+            GateKind::Sigmoid => crate::math::sigmoid(dst),
+            GateKind::Tanh => crate::math::tanh(dst),
         }
     }
 
@@ -686,7 +699,7 @@ impl<'a> Weights<'a> {
             }
         }
         if act == Act::Tanh {
-            out.as_mut_slice().iter_mut().for_each(|o| *o = o.tanh());
+            crate::math::tanh(out.as_mut_slice());
         }
     }
 }

@@ -48,6 +48,7 @@ pub mod exec;
 pub mod gemm;
 pub mod gradcheck;
 pub mod init;
+pub mod math;
 pub mod matrix;
 pub mod nn;
 pub mod optim;

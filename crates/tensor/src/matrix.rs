@@ -429,18 +429,17 @@ impl Matrix {
 }
 
 /// Softmax of one row, in place — the single definition behind
-/// [`Matrix::softmax_rows`] and the fused attention kernels.
+/// [`Matrix::softmax_rows`] and the fused attention kernels. The
+/// `exp(x - max)` pass and the final division are lane-wise
+/// ([`crate::math::exp`] returns libm's bits); the sum stays one
+/// left-to-right chain.
 pub(crate) fn softmax_in_place(row: &mut [f32]) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
-    }
+    row.iter_mut().for_each(|x| *x -= max);
+    crate::math::exp(row);
+    let sum = row.iter().fold(0.0, |s, &x| s + x);
     if sum > 0.0 {
-        for x in row.iter_mut() {
-            *x /= sum;
-        }
+        row.iter_mut().for_each(|x| *x /= sum);
     }
 }
 

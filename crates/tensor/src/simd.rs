@@ -45,6 +45,13 @@
 //! across the whole `k` loop, with masked loads and stores for the last
 //! `n % 8` columns. The other backends have none; `crate::gemm` runs their
 //! small products through plain loops.
+//!
+//! The active backend also selects the transcendentals of the fused gates
+//! and softmax: [`crate::math`] holds vector ports of libm's `expf` and
+//! `tanhf` (AVX2: both, `expf` only with FMA; SSE2: `tanhf`; scalar: plain
+//! libm). The same rule applies there — a lane does exactly what the
+//! scalar routine does — which is why the `expf` port *does* fuse: libm's
+//! `__expf_fma` fuses, so replaying it lane by lane must too.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -1114,10 +1114,9 @@ impl Tape {
                 let z = &self.nodes[logits.0].value;
                 let n = z.len() as f32;
                 let s = g[(0, 0)] / n;
-                let dz = z.zip(targets, |zi, yi| {
-                    let p = 1.0 / (1.0 + (-zi).exp());
-                    (p - yi) * s
-                });
+                let mut p = z.clone();
+                crate::math::sigmoid(p.as_mut_slice());
+                let dz = p.zip(targets, |pi, yi| (pi - yi) * s);
                 self.grad_buf(*logits).add_assign(&dz);
             }
             Op::Mse(pred, targets) => {
