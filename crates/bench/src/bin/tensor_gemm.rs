@@ -1,8 +1,8 @@
-//! Tensor kernel micro-benchmarks — blocked GEMM vs the naive triple loop,
-//! the model's own small products on both GEMM paths (the evidence for the
-//! small/packed threshold), the SIMD backends against each other, and the
-//! int8 quantized kernel against f32, and the vector `exp`/`tanh`/`sigmoid`
-//! against libm — written to `BENCH_tensor.json`.
+//! Tensor kernel micro-benchmarks — the register-tiled GEMM vs the naive
+//! triple loop, the products the system really issues on every SIMD
+//! backend, the SIMD backends against each other, the int8 quantized kernel
+//! against f32, and the vector `exp`/`tanh`/`sigmoid` against libm —
+//! written to `BENCH_tensor.json`.
 //!
 //! Every f32 configuration is checked bit-identical against the branch-free
 //! naive reference before it is timed: a kernel that drifts by one ULP is a
@@ -11,8 +11,7 @@
 //! bit-identical across backends, and its accuracy cost is reported as
 //! AUC / PR-AUC drift on a small trained model rather than ULPs.
 //!
-//! The report records `host_cpus`; on single-core hosts the thread sweep is
-//! skipped (every count would time the same sequential code path).
+//! The report records `host_cpus`; every product runs on one thread.
 //!
 //! Run: `cargo run --release -p cohortnet-bench --bin tensor_gemm`
 //! (`COHORTNET_FAST=1` shrinks sizes and repetitions for smoke runs.)
@@ -26,7 +25,7 @@ use cohortnet_bench::report::render_table;
 use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
 use cohortnet_metrics::{pr_auc, roc_auc};
 use cohortnet_models::data::prepare;
-use cohortnet_tensor::gemm::{gemm_into, gemm_into_on, gemm_path, set_gemm_threads, GemmPath};
+use cohortnet_tensor::gemm::gemm_into;
 use cohortnet_tensor::math::{self, Func};
 use cohortnet_tensor::quant::{qgemm, QuantMatrix};
 use cohortnet_tensor::simd::{self, set_backend, supported_backends, Backend};
@@ -75,24 +74,21 @@ struct GemmRow {
     m: usize,
     k: usize,
     n: usize,
-    threads: usize,
     naive_sec: f64,
-    blocked_sec: f64,
+    gemm_sec: f64,
     gflops: f64,
     speedup: f64,
 }
 
-/// One small product, timed on both GEMM paths and the naive loop.
+/// One recorded product on one backend, timed against the naive loop.
 struct SmallRow {
     variant: &'static str,
     m: usize,
     k: usize,
     n: usize,
-    /// The path `gemm_into` picks for this size.
-    chosen: GemmPath,
+    backend: Backend,
     naive_ns: f64,
-    small_ns: f64,
-    packed_ns: f64,
+    gemm_ns: f64,
 }
 
 struct SimdRow {
@@ -189,8 +185,9 @@ struct QuantReport {
     pr_auc_int8: f64,
 }
 
-/// Sweep the classic blocked-vs-naive comparison (on the detected backend).
-fn bench_gemm(reps: usize, thread_counts: &[usize], rng: &mut StdRng) -> Vec<GemmRow> {
+/// Square and oblong products against the naive loop (on the detected
+/// backend).
+fn bench_gemm(reps: usize, rng: &mut StdRng) -> Vec<GemmRow> {
     let sizes: &[(usize, usize, usize)] = if fast() {
         &[(64, 64, 64), (128, 128, 128)]
     } else {
@@ -222,36 +219,31 @@ fn bench_gemm(reps: usize, thread_counts: &[usize], rng: &mut StdRng) -> Vec<Gem
                 naive(ta, tb, &a, &b, &mut out, k);
             });
 
-            for &threads in thread_counts {
-                set_gemm_threads(threads);
+            let mut out = Matrix::zeros(m, n);
+            gemm_into(ta, tb, &a, &b, &mut out, false);
+            for (idx, (g, w)) in out.as_slice().iter().zip(reference.as_slice()).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{name} {m}x{k}x{n}: element {idx} drifted"
+                );
+            }
+            let gemm_sec = time_best(reps, || {
                 let mut out = Matrix::zeros(m, n);
                 gemm_into(ta, tb, &a, &b, &mut out, false);
-                for (idx, (g, w)) in out.as_slice().iter().zip(reference.as_slice()).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "{name} {m}x{k}x{n} threads={threads}: element {idx} drifted"
-                    );
-                }
-                let blocked_sec = time_best(reps, || {
-                    let mut out = Matrix::zeros(m, n);
-                    gemm_into(ta, tb, &a, &b, &mut out, false);
-                });
-                rows.push(GemmRow {
-                    variant: name,
-                    m,
-                    k,
-                    n,
-                    threads,
-                    naive_sec,
-                    blocked_sec,
-                    gflops: 2.0 * (m * k * n) as f64 / blocked_sec / 1e9,
-                    speedup: naive_sec / blocked_sec,
-                });
-            }
+            });
+            rows.push(GemmRow {
+                variant: name,
+                m,
+                k,
+                n,
+                naive_sec,
+                gemm_sec,
+                gflops: 2.0 * (m * k * n) as f64 / gemm_sec / 1e9,
+                speedup: naive_sec / gemm_sec,
+            });
             eprintln!("[tensor_gemm] {name} {m}x{k}x{n} done");
         }
-        set_gemm_threads(1);
     }
     rows
 }
@@ -266,54 +258,67 @@ fn time_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
         / iters as f64
 }
 
-/// The products this model runs — `(k, n)` of the FIL projections, GRU
-/// gates, FeaFus and FeaAgg, at batch 1 and the training batch of 32 —
-/// plus taller stacks of the same widths around the small/packed
-/// threshold, each timed on both paths (checked bit-identical to naive
-/// first) and on the naive loop.
-fn bench_small(reps: usize, rng: &mut StdRng) -> Vec<SmallRow> {
-    let model: &[(usize, usize)] = &[(8, 8), (8, 16), (6, 16), (16, 16), (24, 6), (16, 8)];
-    let mut sizes: Vec<(usize, usize, usize)> = [1, 32]
-        .iter()
-        .flat_map(|&m| model.iter().map(move |&(k, n)| (m, k, n)))
-        .collect();
-    for (k, n) in [(8, 8), (16, 16), (24, 16), (32, 32), (64, 64), (128, 128)] {
-        sizes.extend([64, 128, 256, 512].map(|m| (m, k, n)));
+/// The recorded GEMM traffic: every distinct product with its call count,
+/// per source and phase.
+const TRAFFIC: &str = include_str!("../../data/gemm_traffic.txt");
+
+/// The distinct `(variant, m, k, n)` of [`TRAFFIC`]'s perfbench and
+/// paper-width rows, largest first. The perfbench rows include its
+/// 64 x 256 x 256 `tensor.matmul_b64` probe.
+fn recorded_products() -> Vec<(&'static str, usize, usize, usize)> {
+    let mut shapes = Vec::new();
+    for line in TRAFFIC.lines().filter(|l| !l.starts_with('#')) {
+        let f: Vec<&'static str> = line.split_whitespace().collect();
+        if !(f[0].starts_with("perfbench") || f[0] == "paper_width") {
+            continue;
+        }
+        let dim = |i: usize| -> usize { f[i].parse().expect("a dimension") };
+        let shape = (f[2], dim(3), dim(4), dim(5));
+        if !shapes.contains(&shape) {
+            shapes.push(shape);
+        }
     }
-    let variants: &[(&'static str, bool, bool)] = &[
-        ("A*B", false, false),
-        ("At*B", true, false),
-        ("A*Bt", false, true),
-    ];
+    shapes.sort_by_key(|&(_, m, k, n)| std::cmp::Reverse(m * k * n));
+    shapes
+}
+
+/// Each recorded product on every supported backend, checked bit-identical
+/// to naive first, then timed against the naive loop.
+fn bench_small(reps: usize, rng: &mut StdRng) -> Vec<SmallRow> {
     let mut rows = Vec::new();
-    for &(m, k, n) in &sizes {
+    for (name, m, k, n) in recorded_products() {
+        let (ta, tb) = match name {
+            "A*B" => (false, false),
+            "At*B" => (true, false),
+            "A*Bt" => (false, true),
+            other => panic!("unknown GEMM variant {other} in the traffic file"),
+        };
         // About 200k multiply-adds per timed rep, at least 20 calls.
         let iters = (200_000 / (m * k * n)).max(20);
-        for &(name, ta, tb) in variants {
-            let (am, ak) = if ta { (k, m) } else { (m, k) };
-            let (bm, bk) = if tb { (n, k) } else { (k, n) };
-            let a = random_matrix(am, ak, rng);
-            let b = random_matrix(bm, bk, rng);
-            let mut reference = Matrix::zeros(m, n);
-            naive(ta, tb, &a, &b, &mut reference, k);
-            let mut out = Matrix::zeros(m, n);
-            let mut time_path = |path: GemmPath| {
-                gemm_into_on(path, ta, tb, &a, &b, &mut out, false);
-                for (idx, (g, w)) in out.as_slice().iter().zip(reference.as_slice()).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "{name} {m}x{k}x{n} {path:?}: element {idx} drifted"
-                    );
-                }
-                time_ns(reps, iters, || {
-                    gemm_into_on(path, ta, tb, &a, &b, &mut out, false);
-                    std::hint::black_box(&mut out);
-                })
-            };
-            let (small_ns, packed_ns) = (time_path(GemmPath::Small), time_path(GemmPath::Packed));
-            let naive_ns = time_ns(reps, iters, || {
-                naive(ta, tb, &a, &b, &mut out, k);
+        let (am, ak) = if ta { (k, m) } else { (m, k) };
+        let (bm, bk) = if tb { (n, k) } else { (k, n) };
+        let a = random_matrix(am, ak, rng);
+        let b = random_matrix(bm, bk, rng);
+        let mut reference = Matrix::zeros(m, n);
+        naive(ta, tb, &a, &b, &mut reference, k);
+        let mut out = Matrix::zeros(m, n);
+        let naive_ns = time_ns(reps, iters, || {
+            naive(ta, tb, &a, &b, &mut out, k);
+            std::hint::black_box(&mut out);
+        });
+        for backend in supported_backends() {
+            assert!(set_backend(backend));
+            gemm_into(ta, tb, &a, &b, &mut out, false);
+            for (idx, (g, w)) in out.as_slice().iter().zip(reference.as_slice()).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{name} {m}x{k}x{n} on {}: element {idx} drifted",
+                    backend.name()
+                );
+            }
+            let gemm_ns = time_ns(reps, iters, || {
+                gemm_into(ta, tb, &a, &b, &mut out, false);
                 std::hint::black_box(&mut out);
             });
             rows.push(SmallRow {
@@ -321,14 +326,14 @@ fn bench_small(reps: usize, rng: &mut StdRng) -> Vec<SmallRow> {
                 m,
                 k,
                 n,
-                chosen: gemm_path(m, k, n),
+                backend,
                 naive_ns,
-                small_ns,
-                packed_ns,
+                gemm_ns,
             });
         }
     }
-    eprintln!("[tensor_gemm] small products done");
+    assert!(set_backend(simd::detect()));
+    eprintln!("[tensor_gemm] recorded products done");
     rows
 }
 
@@ -457,32 +462,24 @@ fn bench_quant(size: usize, reps: usize, rng: &mut StdRng) -> QuantReport {
 fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let reps = if fast() { 3 } else { 5 };
-    // A single-core host runs every "thread count" on the same sequential
-    // path — sweeping it three more times measures nothing.
-    let thread_counts: &[usize] = if fast() || host_cpus == 1 {
-        &[1]
-    } else {
-        &[1, 2, 4]
-    };
     let simd_size = if fast() { 128 } else { 256 };
 
     let mut rng = StdRng::seed_from_u64(42);
-    let rows = bench_gemm(reps, thread_counts, &mut rng);
+    let rows = bench_gemm(reps, &mut rng);
     let small_rows = bench_small(reps, &mut rng);
     let simd_rows = bench_simd(simd_size, reps, &mut rng);
     let quant = bench_quant(simd_size, reps, &mut rng);
     let trans_rows = bench_transcendentals(reps, &mut rng);
 
-    println!("== Blocked GEMM vs naive triple loop (bit-identical outputs) ==\n");
+    println!("== GEMM vs naive triple loop (bit-identical outputs) ==\n");
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
                 r.variant.to_string(),
                 format!("{}x{}x{}", r.m, r.k, r.n),
-                r.threads.to_string(),
                 format!("{:.2}ms", r.naive_sec * 1e3),
-                format!("{:.2}ms", r.blocked_sec * 1e3),
+                format!("{:.2}ms", r.gemm_sec * 1e3),
                 format!("{:.2}", r.gflops),
                 format!("{:.2}x", r.speedup),
             ]
@@ -491,31 +488,27 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["variant", "size", "threads", "naive", "blocked", "GFLOP/s", "speedup"],
+            &["variant", "size", "naive", "gemm", "GFLOP/s", "speedup"],
             &table
         )
     );
 
-    println!("\n== Small products per call, both paths (bit-identical outputs) ==\n");
+    println!("\n== Recorded products per call, every backend (bit-identical outputs) ==\n");
     let table: Vec<Vec<String>> = small_rows
         .iter()
         .map(|r| {
             vec![
                 r.variant.to_string(),
                 format!("{}x{}x{}", r.m, r.k, r.n),
-                format!("{:?}", r.chosen).to_lowercase(),
+                r.backend.name().to_string(),
                 format!("{:.0}ns", r.naive_ns),
-                format!("{:.0}ns", r.small_ns),
-                format!("{:.0}ns", r.packed_ns),
+                format!("{:.0}ns", r.gemm_ns),
             ]
         })
         .collect();
     println!(
         "{}",
-        render_table(
-            &["variant", "size", "chosen", "naive", "small", "packed"],
-            &table
-        )
+        render_table(&["variant", "size", "backend", "naive", "gemm"], &table)
     );
 
     println!("\n== SIMD backends, {simd_size}^3 GEMM (bit-identical outputs) ==\n");
@@ -596,26 +589,21 @@ fn main() {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     out.push_str(&format!(
-        "  \"thread_sweep_skipped\": {},\n",
-        thread_counts.len() == 1
-    ));
-    out.push_str(&format!(
         "  \"detected_backend\": \"{}\",\n",
         simd::detect().name()
     ));
     out.push_str("  \"gemm\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"variant\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"threads\": {}, \
-             \"naive_sec\": {:.6}, \"blocked_sec\": {:.6}, \"gflops\": {:.3}, \
+            "    {{\"variant\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
+             \"naive_sec\": {:.6}, \"gemm_sec\": {:.6}, \"gflops\": {:.3}, \
              \"speedup\": {:.3}}}{}\n",
             r.variant,
             r.m,
             r.k,
             r.n,
-            r.threads,
             r.naive_sec,
-            r.blocked_sec,
+            r.gemm_sec,
             r.gflops,
             r.speedup,
             if i + 1 < rows.len() { "," } else { "" }
@@ -625,24 +613,23 @@ fn main() {
     out.push_str("  \"small_products\": [\n");
     for (i, r) in small_rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"variant\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"chosen\": \"{}\", \
-             \"naive_ns\": {:.1}, \"small_ns\": {:.1}, \"packed_ns\": {:.1}}}{}\n",
+            "    {{\"variant\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"backend\": \"{}\", \
+             \"naive_ns\": {:.1}, \"gemm_ns\": {:.1}}}{}\n",
             r.variant,
             r.m,
             r.k,
             r.n,
-            format!("{:?}", r.chosen).to_lowercase(),
+            r.backend.name(),
             r.naive_ns,
-            r.small_ns,
-            r.packed_ns,
+            r.gemm_ns,
             if i + 1 < small_rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"simd\": {{\n    \"size\": [{simd_size}, {simd_size}, {simd_size}],\n    \
-         \"scalar_baseline_note\": \"the scalar backend is the same blocked kernel \
-auto-vectorized by LLVM to SSE2 width, not a naive loop\",\n    \"backends\": [\n"
+         \"scalar_baseline_note\": \"sse2 and scalar run the same portable register-tiled \
+kernel, auto-vectorized by LLVM to SSE2 width, not a naive loop\",\n    \"backends\": [\n"
     ));
     for (i, r) in simd_rows.iter().enumerate() {
         out.push_str(&format!(

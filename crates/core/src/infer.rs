@@ -177,7 +177,7 @@ impl Inferencer {
     /// step, `mask` the `(batch x F)` presence mask.
     ///
     /// Bit-identical to the tape forward over the same rows, regardless of
-    /// batch composition or GEMM thread count.
+    /// batch composition.
     pub fn score(&self, steps: &[Matrix], mask: &Matrix) -> ScoreOutput {
         let nf = self.n_features();
         assert_eq!(mask.cols(), nf, "mask width != n_features");

@@ -3,7 +3,7 @@
 //! 1. **bit-identity with training forward** — logits from the tape-free
 //!    path equal [`CohortNetModel::forward_trace`] logits to the bit;
 //! 2. **batch invariance** — a request scores identically alone, in any
-//!    batch, and under any worker/GEMM thread count.
+//!    batch, and under any worker thread count.
 
 mod common;
 
@@ -11,7 +11,6 @@ use cohortnet::config::CohortNetConfig;
 use cohortnet::infer::{Inferencer, ScoreRequest};
 use cohortnet::model::CohortNetModel;
 use cohortnet_models::data::make_batch;
-use cohortnet_tensor::gemm::set_gemm_threads;
 use cohortnet_tensor::{Matrix, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -139,27 +138,23 @@ fn request_scores_do_not_depend_on_batch_composition() {
 }
 
 #[test]
-fn scores_are_invariant_to_worker_and_gemm_threads() {
+fn scores_are_invariant_to_worker_threads() {
     let (trained, prep, _, time_steps) = common::tiny_trained();
     let inf = Inferencer::compile(&trained.model, &trained.params, time_steps);
     let reqs = requests_from(&prep, &(0..9).collect::<Vec<_>>());
 
     let baseline = inf.score_requests(&reqs);
     for workers in [1usize, 2, 4] {
-        for gemm in [1usize, 2, 4] {
-            set_gemm_threads(gemm);
-            let out = inf.score_requests_parallel(&reqs, workers);
-            assert_bits_eq(
-                &baseline.logits,
-                &out.logits,
-                &format!("logits at workers={workers}, gemm_threads={gemm}"),
-            );
-            assert_bits_eq(
-                &baseline.probs,
-                &out.probs,
-                &format!("probs at workers={workers}, gemm_threads={gemm}"),
-            );
-        }
+        let out = inf.score_requests_parallel(&reqs, workers);
+        assert_bits_eq(
+            &baseline.logits,
+            &out.logits,
+            &format!("logits at workers={workers}"),
+        );
+        assert_bits_eq(
+            &baseline.probs,
+            &out.probs,
+            &format!("probs at workers={workers}"),
+        );
     }
-    set_gemm_threads(0);
 }

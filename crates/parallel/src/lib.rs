@@ -227,21 +227,6 @@ where
         .collect()
 }
 
-/// Mutable counterpart of [`par_chunks`]: `f` gets exclusive access to each
-/// fixed-size chunk of `items`. Chunk decomposition depends only on
-/// `chunk_size`, so disjoint output regions (e.g. GEMM row blocks) can be
-/// filled in parallel with a result independent of the thread count.
-pub fn par_chunks_mut<T, R, F>(n_threads: usize, items: &mut [T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let mut chunks: Vec<&mut [T]> = items.chunks_mut(chunk_size).collect();
-    par_map_mut(n_threads, &mut chunks, |i, chunk| f(i, chunk))
-}
-
 /// Folds `items` with a **fixed-order binary tree** reduction: pairs
 /// `(0,1), (2,3), …` merge first, then pairs of pairs, and so on. The merge
 /// order is a function of `items.len()` alone — never of thread count or
@@ -353,20 +338,6 @@ mod tests {
         }
         // Each of the 4 calls above appended once: 1 original + 4 pushes.
         assert!(slots.iter().all(|s| s.len() == 5));
-    }
-
-    #[test]
-    fn par_chunks_mut_fills_disjoint_regions() {
-        let mut data = vec![0u32; 1000];
-        for threads in [1, 3, 8] {
-            data.iter_mut().for_each(|x| *x = 0);
-            par_chunks_mut(threads, &mut data, 64, |ci, chunk| {
-                for (j, x) in chunk.iter_mut().enumerate() {
-                    *x = (ci * 64 + j) as u32;
-                }
-            });
-            assert!(data.iter().enumerate().all(|(i, &x)| x == i as u32));
-        }
     }
 
     #[test]

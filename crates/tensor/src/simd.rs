@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD micro-kernels for the GEMM and fused gate paths.
+//! Runtime-dispatched SIMD kernels for the GEMM and fused gate paths.
 //!
 //! One backend is selected per process — AVX2 when the CPU has it, else SSE2
 //! (baseline on x86_64), else scalar — detected once via
@@ -10,7 +10,7 @@
 //!
 //! The GEMM determinism contract (see [`crate::gemm`]) is *per element*:
 //! every output element is one k-ascending f32 chain of `acc = acc + a*b`
-//! steps. The SIMD kernels vectorize **across the NR output columns** — each
+//! steps. The GEMM kernels vectorize **across the output columns** — each
 //! SIMD lane owns exactly one output element and performs exactly the scalar
 //! kernel's operation sequence for it: a correctly-rounded IEEE-754 multiply
 //! followed by a correctly-rounded add, k ascending. Lanes never exchange
@@ -26,25 +26,19 @@
 //! `vaddps` pairs and wins its speedup from width and register blocking,
 //! not contraction.
 //!
-//! Tile shapes per backend (`MR` rows is 4 everywhere so A-packing is
-//! shared; only the packed-B panel width differs):
+//! There is one GEMM kernel shape, [`small_gemm`]: four output rows at a
+//! time (then one), each row's 8-column tiles held in registers across the
+//! whole `k` loop, no packing. It has two bodies:
 //!
-//! | backend | panel width NR | accumulators            |
-//! |---------|----------------|-------------------------|
-//! | avx2    | 16             | 8 × `__m256` (8 chains) |
-//! | sse2    | 8              | 8 × `__m128` (8 chains) |
-//! | scalar  | 8              | `[[f32; 8]; 4]`         |
+//! | backend      | kernel                | accumulators per 4 rows   |
+//! |--------------|-----------------------|---------------------------|
+//! | avx2         | `small_gemm_avx2`     | 4 × `__m256`, masked tail |
+//! | sse2, scalar | `small_gemm_portable` | 4 × `[f32; 8]`            |
 //!
-//! The scalar kernel is the PR-2 register-tiled loop unchanged; the wider
-//! AVX2 tile exists because a 4×8 tile has only 4 independent chains per
-//! column group and stalls on add latency, while 8 chains keep both FP ports
-//! busy every cycle.
-//!
-//! AVX2 also has a [`SmallKernel`] for products too small to repay packing:
-//! four output rows at a time, one `__m256` per row per 8-column tile held
-//! across the whole `k` loop, with masked loads and stores for the last
-//! `n % 8` columns. The other backends have none; `crate::gemm` runs their
-//! small products through plain loops.
+//! The portable body is plain Rust that LLVM vectorizes to SSE2 width, so
+//! SSE2 needs no intrinsics of its own; `COHORTNET_SIMD=scalar` and `sse2`
+//! run the same GEMM code and differ only in the slice kernels and
+//! transcendentals below.
 //!
 //! The active backend also selects the transcendentals of the fused gates
 //! and softmax: [`crate::math`] holds vector ports of libm's `expf` and
@@ -54,12 +48,6 @@
 //! `__expf_fma` fuses, so replaying it lane by lane must too.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Rows per micro-kernel tile — shared by every backend so `op(A)` packing
-/// has a single layout.
-pub const MR: usize = 4;
-/// Widest packed-B panel any backend uses (the AVX2 tile).
-pub const NR_MAX: usize = 16;
 
 /// A SIMD instruction-set backend for the dispatched kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,181 +182,110 @@ pub fn set_backend(b: Backend) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM micro-kernel dispatch
+// GEMM kernels
 // ---------------------------------------------------------------------------
 
-/// A micro-kernel: updates the `mr x nr` live region of `c` (row stride
-/// `ldc`) with the full-K product of a K-major `MR`-wide packed A tile and a
-/// K-major `nr_panel`-wide packed B panel, one k-ascending mul+add chain per
-/// element.
-pub type MicroKernel = fn(
-    k_dim: usize,
-    a_tile: &[f32],
-    b_panel: &[f32],
+/// The register-tiled GEMM kernel of the active backend: `c += op(A) · B`
+/// for an `m x n` row-major `c`, a row-major `k x n` `B`, and
+/// `op(A)[i][k] = a[i·a_rs + k·a_cs]` (so one kernel serves `A` and `Aᵀ`).
+/// Every element is one k-ascending mul+add chain from its prior value.
+/// AVX2 runs `small_gemm_avx2`; SSE2 and scalar run `small_gemm_portable`,
+/// which LLVM vectorizes to SSE2 width.
+pub fn small_gemm(
+    mkn: (usize, usize, usize),
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
     c: &mut [f32],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-);
-
-/// A small-product kernel: `c += op(A) · B` for an `m x n` row-major `c`,
-/// a row-major `k x n` `B`, and `op(A)[i][k] = a[i·a_rs + k·a_cs]` (so one
-/// kernel serves `A` and `Aᵀ`). Every element is one k-ascending mul+add
-/// chain from its prior value, like [`MicroKernel`], without packing.
-pub type SmallKernel =
-    fn(mkn: (usize, usize, usize), a: &[f32], a_strides: (usize, usize), b: &[f32], c: &mut [f32]);
-
-/// The packed-B panel width and micro-kernels for one backend.
-#[derive(Clone, Copy)]
-pub struct GemmSpec {
-    /// Packed panel width (columns per tile).
-    pub nr: usize,
-    /// The tile kernel.
-    pub kernel: MicroKernel,
-    /// The register-tiled small-product kernel, where the backend has one
-    /// (the GEMM's plain loops run small products otherwise).
-    pub small: Option<SmallKernel>,
-}
-
-/// The GEMM kernel spec for the active backend.
-pub fn gemm_spec() -> GemmSpec {
-    gemm_spec_for(active())
-}
-
-/// The GEMM kernel spec for a specific backend (bench/test use).
-pub fn gemm_spec_for(b: Backend) -> GemmSpec {
-    match b {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => GemmSpec {
-            nr: 16,
-            kernel: microkernel_avx2,
-            small: Some(small_gemm_avx2),
-        },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => GemmSpec {
-            nr: 8,
-            kernel: microkernel_sse2,
-            small: None,
-        },
-        _ => GemmSpec {
-            nr: 8,
-            kernel: microkernel_scalar,
-            small: None,
-        },
-    }
-}
-
-/// The PR-2 scalar register tile (MR=4, NR=8), kept as the reference
-/// implementation and the portable fallback.
-fn microkernel_scalar(
-    k_dim: usize,
-    a_tile: &[f32],
-    b_panel: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
 ) {
-    const NR: usize = 8;
-    debug_assert!(nr <= NR && mr <= MR);
-    let mut acc = [[0.0f32; NR]; MR];
-    for i in 0..mr {
-        let c_row = &c[i * ldc..i * ldc + nr];
-        acc[i][..nr].copy_from_slice(c_row);
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => small_gemm_avx2(mkn, a, a_strides, b, c),
+        _ => small_gemm_portable(mkn, a, a_strides, b, c),
     }
-    for k in 0..k_dim {
-        let a_col = &a_tile[k * MR..k * MR + MR];
-        let b_row = &b_panel[k * NR..k * NR + NR];
-        for i in 0..MR {
-            let a_ik = a_col[i];
-            for j in 0..NR {
-                acc[i][j] += a_ik * b_row[j];
+}
+
+/// The portable [`small_gemm`] kernel, in plain Rust: rows four at a time
+/// (then one at a time), each row's outputs in `[f32; 8]` tiles held across
+/// the whole `k` loop, the last `n % 8` columns in a tile whose spare lanes
+/// are computed and never stored. Each lane is `acc = acc + a·b`, k
+/// ascending: Rust never contracts that to an FMA, so the chain is the
+/// scalar one.
+fn small_gemm_portable(
+    (m, k_dim, n): (usize, usize, usize),
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    c: &mut [f32],
+) {
+    let mut i = 0;
+    while i + 4 <= m {
+        small_rows_portable::<4>(i, (k_dim, n), a, a_strides, b, c);
+        i += 4;
+    }
+    while i < m {
+        small_rows_portable::<1>(i, (k_dim, n), a, a_strides, b, c);
+        i += 1;
+    }
+}
+
+/// Rows `i0 .. i0 + R` of [`small_gemm_portable`]: for each 8-column tile,
+/// `R` accumulator tiles loaded from `c`, stepped over every `k`, stored
+/// back.
+#[inline]
+fn small_rows_portable<const R: usize>(
+    i0: usize,
+    (k_dim, n): (usize, usize),
+    a: &[f32],
+    (a_rs, a_cs): (usize, usize),
+    b: &[f32],
+    c: &mut [f32],
+) {
+    let mut j0 = 0;
+    while j0 < n {
+        let w = (n - j0).min(8);
+        let mut acc = [[0.0f32; 8]; R];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            *acc_r = load8(c, (i0 + r) * n + j0, w);
+        }
+        for k in 0..k_dim {
+            let b_k = load8(b, k * n + j0, w);
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let a_ik = a[(i0 + r) * a_rs + k * a_cs];
+                for (x, &y) in acc_r.iter_mut().zip(&b_k) {
+                    *x += a_ik * y;
+                }
             }
         }
-    }
-    for i in 0..mr {
-        let c_row = &mut c[i * ldc..i * ldc + nr];
-        c_row.copy_from_slice(&acc[i][..nr]);
-    }
-}
-
-/// AVX2 4×16 tile: 8 × `__m256` accumulators (one chain per lane), one
-/// `vmulps` + `vaddps` per step — no FMA, see the module docs. The live C
-/// region is staged through a zero-padded 4×16 buffer so ragged edges run
-/// the same dense loop; padded lanes compute garbage that is never stored
-/// back.
-#[cfg(target_arch = "x86_64")]
-fn microkernel_avx2(
-    k_dim: usize,
-    a_tile: &[f32],
-    b_panel: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    const NR: usize = 16;
-    debug_assert!(nr <= NR && mr <= MR);
-    let mut buf = [0.0f32; MR * NR];
-    for i in 0..mr {
-        buf[i * NR..i * NR + nr].copy_from_slice(&c[i * ldc..i * ldc + nr]);
-    }
-    // SAFETY: `gemm_spec_for` only hands this kernel out for `Backend::Avx2`,
-    // which `Backend::supported` gates on `is_x86_feature_detected!("avx2")`.
-    unsafe { avx2_tile(k_dim, a_tile, b_panel, &mut buf) };
-    for i in 0..mr {
-        c[i * ldc..i * ldc + nr].copy_from_slice(&buf[i * NR..i * NR + nr]);
+        for (r, acc_r) in acc.iter().enumerate() {
+            let row = (i0 + r) * n + j0;
+            if w == 8 {
+                c[row..row + 8].copy_from_slice(acc_r);
+            } else {
+                c[row..row + w].copy_from_slice(&acc_r[..w]);
+            }
+        }
+        j0 += 8;
     }
 }
 
-/// The dense AVX2 4×16 inner loop over a padded accumulator buffer.
-///
-/// # Safety
-/// Requires AVX2. `a_tile` must hold at least `k_dim * MR` floats and
-/// `b_panel` at least `k_dim * 16`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn avx2_tile(k_dim: usize, a_tile: &[f32], b_panel: &[f32], buf: &mut [f32; MR * 16]) {
-    use std::arch::x86_64::*;
-    debug_assert!(a_tile.len() >= k_dim * MR);
-    debug_assert!(b_panel.len() >= k_dim * 16);
-    let mut acc: [__m256; 8] = [
-        _mm256_loadu_ps(buf.as_ptr()),
-        _mm256_loadu_ps(buf.as_ptr().add(8)),
-        _mm256_loadu_ps(buf.as_ptr().add(16)),
-        _mm256_loadu_ps(buf.as_ptr().add(24)),
-        _mm256_loadu_ps(buf.as_ptr().add(32)),
-        _mm256_loadu_ps(buf.as_ptr().add(40)),
-        _mm256_loadu_ps(buf.as_ptr().add(48)),
-        _mm256_loadu_ps(buf.as_ptr().add(56)),
-    ];
-    let a_ptr = a_tile.as_ptr();
-    let b_ptr = b_panel.as_ptr();
-    for k in 0..k_dim {
-        let b0 = _mm256_loadu_ps(b_ptr.add(k * 16));
-        let b1 = _mm256_loadu_ps(b_ptr.add(k * 16 + 8));
-        let a_col = a_ptr.add(k * MR);
-        // Manually indexed so each accumulator stays in its own register;
-        // mul then add keeps the per-lane chain identical to scalar.
-        let a0 = _mm256_set1_ps(*a_col);
-        acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(a0, b0));
-        acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(a0, b1));
-        let a1 = _mm256_set1_ps(*a_col.add(1));
-        acc[2] = _mm256_add_ps(acc[2], _mm256_mul_ps(a1, b0));
-        acc[3] = _mm256_add_ps(acc[3], _mm256_mul_ps(a1, b1));
-        let a2 = _mm256_set1_ps(*a_col.add(2));
-        acc[4] = _mm256_add_ps(acc[4], _mm256_mul_ps(a2, b0));
-        acc[5] = _mm256_add_ps(acc[5], _mm256_mul_ps(a2, b1));
-        let a3 = _mm256_set1_ps(*a_col.add(3));
-        acc[6] = _mm256_add_ps(acc[6], _mm256_mul_ps(a3, b0));
-        acc[7] = _mm256_add_ps(acc[7], _mm256_mul_ps(a3, b1));
-    }
-    for (i, v) in acc.into_iter().enumerate() {
-        _mm256_storeu_ps(buf.as_mut_ptr().add(i * 8), v);
+/// A tile's lanes from `src[at..]`: 8 values where 8 remain (lanes past
+/// `w` then hold whatever follows, which the kernel never stores), else the
+/// `w` there and zeros. The fixed-length load keeps every full-width step
+/// free of a variable-length copy.
+#[inline(always)]
+fn load8(src: &[f32], at: usize, w: usize) -> [f32; 8] {
+    match src.get(at..at + 8) {
+        Some(full) => full.try_into().expect("8 values"),
+        None => {
+            let mut tile = [0.0f32; 8];
+            tile[..w].copy_from_slice(&src[at..at + w]);
+            tile
+        }
     }
 }
 
-/// The AVX2 [`SmallKernel`]: rows four at a time (then one at a time),
+/// The AVX2 [`small_gemm`] kernel: rows four at a time (then one at a time),
 /// each row's outputs in 8-wide register tiles held across the whole `k`
 /// loop, with a masked tile for the last `n % 8` columns. One `vmulps` +
 /// `vaddps` per step per lane, k ascending — no FMA, see the module docs.
@@ -391,7 +308,7 @@ fn small_gemm_avx2(
     );
     let mut i = 0;
     while i + 4 <= m {
-        // SAFETY: `gemm_spec_for` hands this kernel out only for
+        // SAFETY: `small_gemm` calls this kernel only for
         // `Backend::Avx2`, which `Backend::supported` gates on AVX2
         // detection; the asserts above bound every index the tile reads
         // (rows `i..i + 4 <= m`, columns `< n`, `k < k_dim`).
@@ -474,76 +391,6 @@ unsafe fn load_tile(
         _mm256_loadu_ps(p)
     } else {
         _mm256_maskload_ps(p, mask)
-    }
-}
-
-/// SSE2 4×8 tile: 8 × `__m128` accumulators, same chain discipline as the
-/// scalar kernel, 4 lanes per op.
-#[cfg(target_arch = "x86_64")]
-fn microkernel_sse2(
-    k_dim: usize,
-    a_tile: &[f32],
-    b_panel: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    const NR: usize = 8;
-    debug_assert!(nr <= NR && mr <= MR);
-    let mut buf = [0.0f32; MR * NR];
-    for i in 0..mr {
-        buf[i * NR..i * NR + nr].copy_from_slice(&c[i * ldc..i * ldc + nr]);
-    }
-    // SAFETY: SSE2 is unconditionally available on x86_64.
-    unsafe { sse2_tile(k_dim, a_tile, b_panel, &mut buf) };
-    for i in 0..mr {
-        c[i * ldc..i * ldc + nr].copy_from_slice(&buf[i * NR..i * NR + nr]);
-    }
-}
-
-/// The dense SSE2 4×8 inner loop over a padded accumulator buffer.
-///
-/// # Safety
-/// `a_tile` must hold at least `k_dim * MR` floats and `b_panel` at least
-/// `k_dim * 8`. (SSE2 itself is part of the x86_64 baseline.)
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn sse2_tile(k_dim: usize, a_tile: &[f32], b_panel: &[f32], buf: &mut [f32; MR * 8]) {
-    use std::arch::x86_64::*;
-    debug_assert!(a_tile.len() >= k_dim * MR);
-    debug_assert!(b_panel.len() >= k_dim * 8);
-    let mut acc: [__m128; 8] = [
-        _mm_loadu_ps(buf.as_ptr()),
-        _mm_loadu_ps(buf.as_ptr().add(4)),
-        _mm_loadu_ps(buf.as_ptr().add(8)),
-        _mm_loadu_ps(buf.as_ptr().add(12)),
-        _mm_loadu_ps(buf.as_ptr().add(16)),
-        _mm_loadu_ps(buf.as_ptr().add(20)),
-        _mm_loadu_ps(buf.as_ptr().add(24)),
-        _mm_loadu_ps(buf.as_ptr().add(28)),
-    ];
-    let a_ptr = a_tile.as_ptr();
-    let b_ptr = b_panel.as_ptr();
-    for k in 0..k_dim {
-        let b0 = _mm_loadu_ps(b_ptr.add(k * 8));
-        let b1 = _mm_loadu_ps(b_ptr.add(k * 8 + 4));
-        let a_col = a_ptr.add(k * MR);
-        let a0 = _mm_set1_ps(*a_col);
-        acc[0] = _mm_add_ps(acc[0], _mm_mul_ps(a0, b0));
-        acc[1] = _mm_add_ps(acc[1], _mm_mul_ps(a0, b1));
-        let a1 = _mm_set1_ps(*a_col.add(1));
-        acc[2] = _mm_add_ps(acc[2], _mm_mul_ps(a1, b0));
-        acc[3] = _mm_add_ps(acc[3], _mm_mul_ps(a1, b1));
-        let a2 = _mm_set1_ps(*a_col.add(2));
-        acc[4] = _mm_add_ps(acc[4], _mm_mul_ps(a2, b0));
-        acc[5] = _mm_add_ps(acc[5], _mm_mul_ps(a2, b1));
-        let a3 = _mm_set1_ps(*a_col.add(3));
-        acc[6] = _mm_add_ps(acc[6], _mm_mul_ps(a3, b0));
-        acc[7] = _mm_add_ps(acc[7], _mm_mul_ps(a3, b1));
-    }
-    for (i, v) in acc.into_iter().enumerate() {
-        _mm_storeu_ps(buf.as_mut_ptr().add(i * 4), v);
     }
 }
 

@@ -1,12 +1,11 @@
-//! Property tests for the blocked GEMM kernel's 0-ULP determinism contract.
+//! Property tests for the GEMM kernel's 0-ULP determinism contract.
 //!
 //! The contract (see `cohortnet_tensor::gemm`): every output element is one
 //! f32 accumulation chain over `k` in strictly increasing order, starting
 //! from the prior value (zero when not accumulating). All four transpose
-//! variants, the packed/blocked path, the small path (each forced at every
-//! size as well as chosen by size), and every thread count must produce
-//! bit-identical results to the branch-free naive reference below — not
-//! merely close, *equal to the bit*.
+//! variants on every SIMD backend must produce bit-identical results to the
+//! branch-free naive reference below — not merely close, *equal to the
+//! bit*.
 //!
 //! Sizes and fills are drawn from the in-tree `proptest` stand-in; matrices
 //! are filled from a drawn `u64` seed (the stand-in has no `prop_flat_map`,
@@ -14,7 +13,7 @@
 //! and `-0.0` entries so any sparsity branch (`a_ik == 0.0` skips) would be
 //! caught: skipping a `+ 0.0 * b` term changes `-0.0` outcomes and rounding.
 
-use cohortnet_tensor::gemm::{gemm_into, gemm_into_on, set_gemm_threads, GemmPath};
+use cohortnet_tensor::gemm::gemm_into;
 use cohortnet_tensor::simd::{set_backend, supported_backends};
 use cohortnet_tensor::Matrix;
 use proptest::prelude::*;
@@ -96,8 +95,8 @@ proptest! {
         check_variant(m, k, n, ta, tb, accumulate, seed)?;
     }
 
-    /// Sizes large enough to engage the packed/blocked path (and, above the
-    /// parallel work threshold, row-block parallelism) still match naive.
+    /// Larger sizes, many 4-row groups and 8-column tiles, still match
+    /// naive.
     #[test]
     fn blocked_sizes_match_naive_bitwise(
         m in 24usize..80,
@@ -111,10 +110,10 @@ proptest! {
         check_variant(m, k, n, ta, tb, accumulate, seed)?;
     }
 
-    /// Thread count never changes a single bit: parallelism only splits
-    /// disjoint output row blocks, it never splits a k chain.
+    /// The SIMD backend never changes a single bit: every lane runs the
+    /// scalar chain.
     #[test]
-    fn thread_count_is_invisible(
+    fn backend_is_invisible(
         m in 32usize..96,
         k in 16usize..64,
         n in 32usize..96,
@@ -126,26 +125,14 @@ proptest! {
         let ((am, ak), (bm, bk)) = operand_shapes(ta, tb, m, k, n);
         let a = fill(am, ak, &mut rng);
         let b = fill(bm, bk, &mut rng);
-        set_gemm_threads(1);
         let mut base = Matrix::zeros(m, n);
-        gemm_into(ta, tb, &a, &b, &mut base, false);
-        // Neither thread count nor SIMD backend may change a bit — sweep the
-        // cross product against the sequential result. Threads split only
-        // the packed path, so it is forced at these sizes.
+        naive(ta, tb, &a, &b, &mut base, k);
         for backend in supported_backends() {
             prop_assert!(set_backend(backend));
-            for threads in [1usize, 2, 4, 8] {
-                set_gemm_threads(threads);
-                let mut out = Matrix::zeros(m, n);
-                gemm_into_on(GemmPath::Packed, ta, tb, &a, &b, &mut out, false);
-                assert_bits_equal(
-                    &out,
-                    &base,
-                    &format!("backend={} threads={threads}", backend.name()),
-                )?;
-            }
+            let mut out = Matrix::zeros(m, n);
+            gemm_into(ta, tb, &a, &b, &mut out, false);
+            assert_bits_equal(&out, &base, &format!("backend={}", backend.name()))?;
         }
-        set_gemm_threads(1);
     }
 
     /// The public `Matrix` wrappers route through the same kernel.
@@ -212,8 +199,7 @@ fn check_variant(
         Matrix::zeros(m, n)
     };
     naive(ta, tb, &a, &b, &mut want, k);
-    // Every supported SIMD backend, on either path whatever the size, must
-    // hit the same naive chain bitwise.
+    // Every supported SIMD backend must hit the same naive chain bitwise.
     for backend in supported_backends() {
         prop_assert!(set_backend(backend));
         let mut got = out.clone();
@@ -223,11 +209,6 @@ fn check_variant(
             backend.name()
         );
         assert_bits_equal(&got, &want, &ctx)?;
-        for path in [GemmPath::Small, GemmPath::Packed] {
-            let mut got = out.clone();
-            gemm_into_on(path, ta, tb, &a, &b, &mut got, accumulate);
-            assert_bits_equal(&got, &want, &format!("{ctx} path={path:?}"))?;
-        }
     }
     Ok(())
 }
