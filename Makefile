@@ -22,11 +22,11 @@ test:
 ## the env override path on hosts where detection would pick AVX2 (the
 ## cross-backend bit-identity tests cover the other direction) — plus the
 ## end-to-end forward pins, which judge the fused eager kernels on the
-## scalar backend too, and the fused-tape training bits. CI runs this
-## target.
+## scalar backend too, the fused-tape training bits, and every model's
+## predict-equals-tape bits. CI runs this target.
 test-scalar:
 	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet-tensor
-	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet --test forward_pins --test infer_identity --test quant_snapshot --test tape_training_bits
+	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet --test forward_pins --test infer_identity --test quant_snapshot --test tape_training_bits --test predict_identity
 
 ## Exhaustive check of the vector transcendentals (`crates/tensor/src/math.rs`):
 ## every one of the 2^32 f32 inputs through every vector port this CPU

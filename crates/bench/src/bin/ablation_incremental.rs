@@ -22,7 +22,7 @@ use cohortnet_bench::registry::{cohortnet_config, RunOptions};
 use cohortnet_bench::report::{render_table, secs};
 use cohortnet_bench::{fast, scale, time_steps};
 use cohortnet_models::data::{make_batch, Prepared};
-use cohortnet_tensor::{Matrix, Tape};
+use cohortnet_tensor::{Eager, Exec, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -64,17 +64,17 @@ fn main() {
         let np = pp.patients.len();
         let mut states = vec![0u8; np * t_steps * nf];
         let mut hh = Matrix::zeros(np, nf * cfg.d_hidden);
+        let mut e = Eager::new(ps);
         for chunk in (0..np).collect::<Vec<_>>().chunks(cfg.batch_size) {
             let batch = make_batch(pp, chunk);
-            let mut tape = Tape::new();
-            let trace = mflm.forward(&mut tape, ps, &batch, false);
-            let bs = batch_states(&tape, &trace, &batch, &d_half.states);
+            let trace = mflm.forward(&mut e, ps, &batch, false);
+            let bs = batch_states(&e, &trace, &batch, &d_half.states);
             for (r, &p) in chunk.iter().enumerate() {
                 states[p * t_steps * nf..(p + 1) * t_steps * nf]
                     .copy_from_slice(&bs[r * t_steps * nf..(r + 1) * t_steps * nf]);
-                for (f, &h) in trace.h_final.iter().enumerate() {
+                for f in 0..nf {
                     hh.row_mut(p)[f * cfg.d_hidden..(f + 1) * cfg.d_hidden]
-                        .copy_from_slice(tape.value(h).row(r));
+                        .copy_from_slice(e.block_row(&trace.h_final, f, r));
                 }
             }
         }

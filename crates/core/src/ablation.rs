@@ -9,9 +9,9 @@ use crate::config::CohortNetConfig;
 use crate::mflm::Mflm;
 use cohortnet_clustering::{kmeans_fit, KMeansConfig};
 use cohortnet_models::data::{make_batch, Batch, Prepared};
-use cohortnet_models::traits::SequenceModel;
+use cohortnet_models::traits::Forward;
 use cohortnet_tensor::nn::Linear;
-use cohortnet_tensor::{Matrix, ParamStore, Tape, Var};
+use cohortnet_tensor::{Eager, Exec, Matrix, ParamStore};
 use rand::rngs::StdRng;
 
 /// `CohortNet w c-`: MFLM + patient-level K-Means cohorts.
@@ -47,41 +47,26 @@ impl CohortNetWcMinus {
         }
     }
 
+    /// `h̃` of every patient in `prep` (row per patient), computed without
+    /// a graph.
     fn all_tilde(&self, ps: &ParamStore, prep: &Prepared) -> Matrix {
         let indices: Vec<usize> = (0..prep.patients.len()).collect();
         let mut rows = Vec::with_capacity(prep.patients.len() * self.tilde_dim);
+        let mut e = Eager::new(ps);
         for chunk in indices.chunks(64) {
             let batch = make_batch(prep, chunk);
-            let mut t = Tape::new();
-            let trace = self.mflm.forward(&mut t, ps, &batch, false);
-            rows.extend_from_slice(t.value(trace.tilde_h).as_slice());
+            let trace = self.mflm.forward(&mut e, ps, &batch, false);
+            rows.extend_from_slice(e.value(&trace.tilde_h).as_slice());
         }
         Matrix::from_vec(prep.patients.len(), self.tilde_dim, rows)
     }
 
-    /// Number of coarse cohorts currently held.
-    pub fn n_cohorts(&self) -> usize {
-        self.cohorts.len() / self.repr_dim.max(1)
-    }
-}
-
-impl SequenceModel for CohortNetWcMinus {
-    fn name(&self) -> &'static str {
-        "CohortNet w c-"
-    }
-
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let trace = self.mflm.forward(t, ps, batch, false);
-        if self.cohorts.is_empty() {
-            return trace.logits;
-        }
-        // Nearest-centroid lookup in h̃ space (the "K-Means in CEM" of the
-        // ablation description) — the matched coarse cohort enters as a
-        // constant calibration input.
-        let tilde = t.value(trace.tilde_h).clone();
+    /// The nearest coarse cohort's representation for each row of `tilde`
+    /// (the "K-Means in CEM" of the ablation description).
+    fn knowledge(&self, tilde: &Matrix) -> Matrix {
         let k = self.n_cohorts();
-        let mut knowledge = Matrix::zeros(batch.size, self.repr_dim);
-        for r in 0..batch.size {
+        let mut knowledge = Matrix::zeros(tilde.rows(), self.repr_dim);
+        for r in 0..tilde.rows() {
             let mut best = 0usize;
             let mut best_d = f64::INFINITY;
             for c in 0..k {
@@ -104,9 +89,31 @@ impl SequenceModel for CohortNetWcMinus {
                 .row_mut(r)
                 .copy_from_slice(&self.cohorts[best * self.repr_dim..(best + 1) * self.repr_dim]);
         }
-        let kn = t.constant(knowledge);
-        let calib = self.calib_head.forward(t, ps, kn);
-        t.add(trace.logits, calib)
+        knowledge
+    }
+
+    /// Number of coarse cohorts currently held.
+    pub fn n_cohorts(&self) -> usize {
+        self.cohorts.len() / self.repr_dim.max(1)
+    }
+}
+
+impl Forward for CohortNetWcMinus {
+    fn name(&self) -> &'static str {
+        "CohortNet w c-"
+    }
+
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let trace = self.mflm.forward(e, ps, batch, false);
+        if self.cohorts.is_empty() {
+            return trace.logits;
+        }
+        // Nearest-centroid lookup in h̃ space — the matched coarse cohort
+        // enters as a constant calibration input.
+        let knowledge = self.knowledge(e.value(&trace.tilde_h));
+        let kn = e.constant(knowledge);
+        let calib = self.calib_head.forward(e, ps, &kn);
+        e.add(&trace.logits, &calib)
     }
 
     fn refresh(&mut self, ps: &ParamStore, prep: &Prepared, rng: &mut StdRng) {

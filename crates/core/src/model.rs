@@ -2,17 +2,18 @@
 //! CEM, combined by Eq. 14: `ỹ = σ(w^p·h̃ + b^p + w^c·ĥ)`.
 //!
 //! The forward ([`CohortNetModel::forward_with`]) is generic over the
-//! executor: training and interpretation record it on a [`Tape`] through
-//! [`CohortNetModel::forward_trace`], serving runs the same definition on the
-//! eager executor (see [`crate::infer`]).
+//! executor: training and interpretation record it on a
+//! [`cohortnet_tensor::Tape`] through [`CohortNetModel::forward_trace`];
+//! prediction ([`cohortnet_models::SequenceModel::predict`]) and serving (see
+//! [`crate::infer`]) run the same definition on the eager executor.
 
 use crate::cem::{Cem, CemTrace, CohortKv, CohortMask};
 use crate::config::CohortNetConfig;
 use crate::discover::{batch_states, discover, Discovery};
 use crate::mflm::{Mflm, MflmTrace};
 use cohortnet_models::data::{Batch, Prepared};
-use cohortnet_models::traits::SequenceModel;
-use cohortnet_tensor::{Eager, Exec, Matrix, ParamStore, Tape, Var};
+use cohortnet_models::traits::Forward;
+use cohortnet_tensor::{Exec, ParamStore, Var};
 use rand::rngs::StdRng;
 
 /// CohortNet: the paper's model.
@@ -177,20 +178,13 @@ impl CohortNetModel {
     }
 }
 
-impl SequenceModel for CohortNetModel {
+impl Forward for CohortNetModel {
     fn name(&self) -> &'static str {
         self.label
     }
 
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        self.forward_trace(t, ps, batch, false).logits
-    }
-
-    /// The same forward on the value-only executor: no graph, same bits.
-    fn predict(&self, ps: &ParamStore, batch: &Batch) -> Matrix {
-        let mut e = Eager::new(ps);
-        let logits = self.forward_trace(&mut e, ps, batch, false).logits;
-        e.into_matrix(logits)
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        self.forward_trace(e, ps, batch, false).logits
     }
 }
 
@@ -199,6 +193,8 @@ mod tests {
     use super::*;
     use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
     use cohortnet_models::data::{make_batch, prepare};
+    use cohortnet_models::SequenceModel;
+    use cohortnet_tensor::Tape;
     use rand::SeedableRng;
 
     fn setup() -> (CohortNetConfig, Prepared) {

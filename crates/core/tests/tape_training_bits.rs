@@ -19,6 +19,7 @@ use cohortnet_tensor::optim::Adam;
 use cohortnet_tensor::{Exec, Matrix, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Borrow;
 
 /// A tape whose grouped ops are the trait's default bodies — the primitive
 /// reference compositions, recorded node by node.
@@ -37,53 +38,71 @@ impl Exec for ReferenceTape {
     fn param(&mut self, ps: &ParamStore, id: ParamId) -> Var {
         self.0.param(ps, id)
     }
-    fn matmul(&mut self, a: &Var, b: &Var) -> Var {
-        self.0.matmul(*a, *b)
+    fn matmul(&mut self, a: impl Borrow<Var>, b: impl Borrow<Var>) -> Var {
+        self.0.matmul(a, b)
     }
-    fn add(&mut self, a: &Var, b: &Var) -> Var {
-        self.0.add(*a, *b)
+    fn add(&mut self, a: impl Borrow<Var>, b: impl Borrow<Var>) -> Var {
+        self.0.add(a, b)
     }
-    fn add_row_broadcast(&mut self, a: &Var, bias: &Var) -> Var {
-        self.0.add_row_broadcast(*a, *bias)
+    fn add_row_broadcast(&mut self, a: impl Borrow<Var>, bias: impl Borrow<Var>) -> Var {
+        self.0.add_row_broadcast(a, bias)
     }
-    fn mul(&mut self, a: &Var, b: &Var) -> Var {
-        self.0.mul(*a, *b)
+    fn sub(&mut self, a: impl Borrow<Var>, b: impl Borrow<Var>) -> Var {
+        self.0.sub(a, b)
     }
-    fn mul_col_broadcast(&mut self, a: &Var, w: &Var) -> Var {
-        self.0.mul_col_broadcast(*a, *w)
+    fn mul(&mut self, a: impl Borrow<Var>, b: impl Borrow<Var>) -> Var {
+        self.0.mul(a, b)
     }
-    fn scale(&mut self, a: &Var, s: f32) -> Var {
-        self.0.scale(*a, s)
+    fn mul_col_broadcast(&mut self, a: impl Borrow<Var>, w: impl Borrow<Var>) -> Var {
+        self.0.mul_col_broadcast(a, w)
     }
-    fn transpose(&mut self, a: &Var) -> Var {
-        self.0.transpose(*a)
+    fn scale(&mut self, a: impl Borrow<Var>, s: f32) -> Var {
+        self.0.scale(a, s)
     }
-    fn sigmoid(&mut self, a: &Var) -> Var {
-        self.0.sigmoid(*a)
+    fn transpose(&mut self, a: impl Borrow<Var>) -> Var {
+        self.0.transpose(a)
     }
-    fn tanh(&mut self, a: &Var) -> Var {
-        self.0.tanh(*a)
+    fn sigmoid(&mut self, a: impl Borrow<Var>) -> Var {
+        self.0.sigmoid(a)
     }
-    fn gate_sigmoid(&mut self, a: &Var, b: &Var, bias: &Var) -> Var {
-        self.0.gate_sigmoid(*a, *b, *bias)
+    fn tanh(&mut self, a: impl Borrow<Var>) -> Var {
+        self.0.tanh(a)
     }
-    fn gate_tanh(&mut self, a: &Var, b: &Var, bias: &Var) -> Var {
-        self.0.gate_tanh(*a, *b, *bias)
+    fn gate_sigmoid(
+        &mut self,
+        a: impl Borrow<Var>,
+        b: impl Borrow<Var>,
+        bias: impl Borrow<Var>,
+    ) -> Var {
+        self.0.gate_sigmoid(a, b, bias)
     }
-    fn gru_blend(&mut self, z: &Var, h: &Var, cand: &Var) -> Var {
-        self.0.gru_blend(*z, *h, *cand)
+    fn gate_tanh(
+        &mut self,
+        a: impl Borrow<Var>,
+        b: impl Borrow<Var>,
+        bias: impl Borrow<Var>,
+    ) -> Var {
+        self.0.gate_tanh(a, b, bias)
     }
-    fn softmax_rows(&mut self, a: &Var) -> Var {
-        self.0.softmax_rows(*a)
+    fn gru_blend(
+        &mut self,
+        z: impl Borrow<Var>,
+        h: impl Borrow<Var>,
+        cand: impl Borrow<Var>,
+    ) -> Var {
+        self.0.gru_blend(z, h, cand)
     }
-    fn sum_cols(&mut self, a: &Var) -> Var {
-        self.0.sum_cols(*a)
+    fn softmax_rows(&mut self, a: impl Borrow<Var>) -> Var {
+        self.0.softmax_rows(a)
     }
-    fn concat_cols(&mut self, parts: &[&Var]) -> Var {
-        Exec::concat_cols(&mut self.0, parts)
+    fn sum_cols(&mut self, a: impl Borrow<Var>) -> Var {
+        self.0.sum_cols(a)
     }
-    fn slice_cols(&mut self, a: &Var, start: usize, end: usize) -> Var {
-        self.0.slice_cols(*a, start, end)
+    fn concat_cols(&mut self, parts: &[impl Borrow<Var>]) -> Var {
+        self.0.concat_cols(parts)
+    }
+    fn slice_cols(&mut self, a: impl Borrow<Var>, start: usize, end: usize) -> Var {
+        self.0.slice_cols(a, start, end)
     }
     fn group(&mut self, parts: Vec<Var>) -> Vec<Var> {
         parts

@@ -7,9 +7,9 @@
 //! prediction head over the attended feature representations.
 
 use crate::data::Batch;
-use crate::traits::SequenceModel;
+use crate::traits::Forward;
 use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::{ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, ParamStore};
 use rand::rngs::StdRng;
 
 /// ConCare: per-feature GRU channels + cross-feature self-attention.
@@ -48,16 +48,17 @@ impl ConCareModel {
     }
 
     /// Per-feature final representations `(batch x channel_dim)` each.
-    fn channel_states(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Vec<Var> {
-        let nf = self.channels.len();
+    fn channel_states<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> Vec<E::V> {
         // Pre-slice each step once into per-feature columns.
-        let step_vars: Vec<Var> = batch.steps.iter().map(|m| t.constant(m.clone())).collect();
-        (0..nf)
-            .map(|f| {
-                let mut h = self.channels[f].init_state(t, batch.size);
-                for &sv in &step_vars {
-                    let x = t.slice_cols(sv, f, f + 1);
-                    h = self.channels[f].step(t, ps, x, h);
+        let step_vars: Vec<E::V> = batch.steps.iter().map(|m| e.constant(m.clone())).collect();
+        self.channels
+            .iter()
+            .enumerate()
+            .map(|(f, channel)| {
+                let mut h = channel.init_state(e, batch.size);
+                for sv in &step_vars {
+                    let x = e.slice_cols(sv, f, f + 1);
+                    h = channel.step(e, ps, &x, &h);
                 }
                 h
             })
@@ -65,43 +66,43 @@ impl ConCareModel {
     }
 }
 
-impl SequenceModel for ConCareModel {
+impl Forward for ConCareModel {
     fn name(&self) -> &'static str {
         "ConCare"
     }
 
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let hs = self.channel_states(t, ps, batch);
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let hs = self.channel_states(e, ps, batch);
         let nf = hs.len();
         let scale = 1.0 / (self.channel_dim as f32).sqrt();
         // Projections.
-        let qs: Vec<Var> = hs.iter().map(|&h| self.wq.forward(t, ps, h)).collect();
-        let ks: Vec<Var> = hs.iter().map(|&h| self.wk.forward(t, ps, h)).collect();
-        let vs: Vec<Var> = hs.iter().map(|&h| self.wv.forward(t, ps, h)).collect();
+        let qs: Vec<E::V> = hs.iter().map(|h| self.wq.forward(e, ps, h)).collect();
+        let ks: Vec<E::V> = hs.iter().map(|h| self.wk.forward(e, ps, h)).collect();
+        let vs: Vec<E::V> = hs.iter().map(|h| self.wv.forward(e, ps, h)).collect();
         // Scaled-dot attention per query feature.
         let mut contexts = Vec::with_capacity(nf);
-        for i in 0..nf {
+        for q in &qs {
             let mut scores = Vec::with_capacity(nf);
-            for j in 0..nf {
-                let qk = t.mul(qs[i], ks[j]);
-                let s = t.sum_cols(qk);
-                scores.push(t.scale(s, scale));
+            for k in &ks {
+                let qk = e.mul(q, k);
+                let s = e.sum_cols(&qk);
+                scores.push(e.scale(&s, scale));
             }
-            let score_mat = t.concat_cols(&scores);
-            let alpha = t.softmax_rows(score_mat);
-            let mut ctx: Option<Var> = None;
-            for j in 0..nf {
-                let a_j = t.slice_cols(alpha, j, j + 1);
-                let w = t.mul_col_broadcast(vs[j], a_j);
+            let score_mat = e.concat_cols(&scores);
+            let alpha = e.softmax_rows(&score_mat);
+            let mut ctx: Option<E::V> = None;
+            for (j, v) in vs.iter().enumerate() {
+                let a_j = e.slice_cols(&alpha, j, j + 1);
+                let w = e.mul_col_broadcast(v, &a_j);
                 ctx = Some(match ctx {
-                    Some(c) => t.add(c, w),
+                    Some(c) => e.add(&c, &w),
                     None => w,
                 });
             }
-            contexts.push(ctx.unwrap());
+            contexts.push(ctx.expect("at least one feature"));
         }
-        let joined = t.concat_cols(&contexts);
-        self.head.forward(t, ps, joined)
+        let joined = e.concat_cols(&contexts);
+        self.head.forward(e, ps, &joined)
     }
 }
 

@@ -6,9 +6,9 @@
 //! the attention-weighted context is combined with the final state.
 
 use crate::data::Batch;
-use crate::traits::SequenceModel;
+use crate::traits::Forward;
 use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::{ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, ParamStore};
 use rand::rngs::StdRng;
 
 /// Dipole: bidirectional GRU with location-based temporal attention.
@@ -38,51 +38,51 @@ impl DipoleModel {
     }
 }
 
-impl SequenceModel for DipoleModel {
+impl Forward for DipoleModel {
     fn name(&self) -> &'static str {
         "Dipole"
     }
 
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
         let steps = batch.steps.len();
-        let xs: Vec<Var> = batch.steps.iter().map(|m| t.constant(m.clone())).collect();
+        let xs: Vec<E::V> = batch.steps.iter().map(|m| e.constant(m.clone())).collect();
         // Forward pass.
-        let mut hf = self.fwd.init_state(t, batch.size);
-        let mut fwd_states = Vec::with_capacity(steps);
-        for &x in &xs {
-            hf = self.fwd.step(t, ps, x, hf);
-            fwd_states.push(hf);
+        let h0 = self.fwd.init_state(e, batch.size);
+        let mut fwd_states: Vec<E::V> = Vec::with_capacity(steps);
+        for x in &xs {
+            let h = self.fwd.step(e, ps, x, fwd_states.last().unwrap_or(&h0));
+            fwd_states.push(h);
         }
-        // Backward pass.
-        let mut hb = self.bwd.init_state(t, batch.size);
-        let mut bwd_states = vec![None; steps];
-        for i in (0..steps).rev() {
-            hb = self.bwd.step(t, ps, xs[i], hb);
-            bwd_states[i] = Some(hb);
+        // Backward pass, stored in reverse step order.
+        let h0 = self.bwd.init_state(e, batch.size);
+        let mut bwd_states: Vec<E::V> = Vec::with_capacity(steps);
+        for x in xs.iter().rev() {
+            let h = self.bwd.step(e, ps, x, bwd_states.last().unwrap_or(&h0));
+            bwd_states.push(h);
         }
         // Per-step bidirectional states and location-based attention scores.
         let mut h_bi = Vec::with_capacity(steps);
         let mut scores = Vec::with_capacity(steps);
-        for i in 0..steps {
-            let h = t.concat_cols(&[fwd_states[i], bwd_states[i].unwrap()]);
-            scores.push(self.attn.forward(t, ps, h));
+        for (i, hf) in fwd_states.iter().enumerate() {
+            let h = e.concat_cols(&[hf, &bwd_states[steps - 1 - i]]);
+            scores.push(self.attn.forward(e, ps, &h));
             h_bi.push(h);
         }
-        let score_mat = t.concat_cols(&scores);
-        let alpha = t.softmax_rows(score_mat);
-        let mut ctx: Option<Var> = None;
-        for (i, &h) in h_bi.iter().enumerate() {
-            let a_i = t.slice_cols(alpha, i, i + 1);
-            let w = t.mul_col_broadcast(h, a_i);
+        let score_mat = e.concat_cols(&scores);
+        let alpha = e.softmax_rows(&score_mat);
+        let mut ctx: Option<E::V> = None;
+        for (i, h) in h_bi.iter().enumerate() {
+            let a_i = e.slice_cols(&alpha, i, i + 1);
+            let w = e.mul_col_broadcast(h, &a_i);
             ctx = Some(match ctx {
-                Some(c) => t.add(c, w),
+                Some(c) => e.add(&c, &w),
                 None => w,
             });
         }
         // Combine context with the final bidirectional state.
-        let last = h_bi[steps - 1];
-        let joined = t.concat_cols(&[ctx.expect("non-empty sequence"), last]);
-        self.head.forward(t, ps, joined)
+        let ctx = ctx.expect("non-empty sequence");
+        let joined = e.concat_cols(&[&ctx, &h_bi[steps - 1]]);
+        self.head.forward(e, ps, &joined)
     }
 }
 
@@ -90,6 +90,8 @@ impl SequenceModel for DipoleModel {
 mod tests {
     use super::*;
     use crate::testutil::{assert_learns, tiny_prep};
+    use crate::SequenceModel;
+    use cohortnet_tensor::Tape;
 
     #[test]
     fn learns_planted_signal() {

@@ -11,10 +11,10 @@
 //! use of cluster knowledge as non-parametric memory.
 
 use crate::data::{make_batch, Batch, Prepared};
-use crate::traits::SequenceModel;
+use crate::traits::Forward;
 use cohortnet_clustering::{kmeans_fit, KMeansConfig};
 use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::{Matrix, ParamStore, Tape, Var};
+use cohortnet_tensor::{Eager, Exec, Matrix, ParamStore};
 use rand::rngs::StdRng;
 
 /// GRASP: GRU backbone + batch-level cluster knowledge.
@@ -47,24 +47,25 @@ impl GraspModel {
         }
     }
 
-    fn backbone_forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let mut h = self.backbone.init_state(t, batch.size);
+    fn backbone_forward<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let mut h = self.backbone.init_state(e, batch.size);
         for step in &batch.steps {
-            let x = t.constant(step.clone());
-            h = self.backbone.step(t, ps, x, h);
+            let x = e.constant(step.clone());
+            h = self.backbone.step(e, ps, &x, &h);
         }
         h
     }
 
-    /// Representations of every patient in `prep` (row per patient).
+    /// Representations of every patient in `prep` (row per patient),
+    /// computed without a graph.
     pub fn representations(&self, ps: &ParamStore, prep: &Prepared) -> Matrix {
         let indices: Vec<usize> = (0..prep.patients.len()).collect();
         let mut rows: Vec<f32> = Vec::with_capacity(prep.patients.len() * self.hidden);
+        let mut e = Eager::new(ps);
         for chunk in indices.chunks(128) {
             let batch = make_batch(prep, chunk);
-            let mut t = Tape::new();
-            let h = self.backbone_forward(&mut t, ps, &batch);
-            rows.extend_from_slice(t.value(h).as_slice());
+            let h = self.backbone_forward(&mut e, ps, &batch);
+            rows.extend_from_slice(e.value(&h).as_slice());
         }
         Matrix::from_vec(prep.patients.len(), self.hidden, rows)
     }
@@ -101,18 +102,18 @@ impl GraspModel {
     }
 }
 
-impl SequenceModel for GraspModel {
+impl Forward for GraspModel {
     fn name(&self) -> &'static str {
         "GRASP"
     }
 
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let h = self.backbone_forward(t, ps, batch);
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let h = self.backbone_forward(e, ps, batch);
         // Route each sample to its nearest cluster; centroid is constant.
-        let knowledge = self.cluster_knowledge(t.value(h));
-        let kn = t.constant(knowledge);
-        let joined = t.concat_cols(&[h, kn]);
-        self.head.forward(t, ps, joined)
+        let knowledge = self.cluster_knowledge(e.value(&h));
+        let kn = e.constant(knowledge);
+        let joined = e.concat_cols(&[&h, &kn]);
+        self.head.forward(e, ps, &joined)
     }
 
     fn refresh(&mut self, ps: &ParamStore, prep: &Prepared, rng: &mut StdRng) {
@@ -139,6 +140,8 @@ impl SequenceModel for GraspModel {
 mod tests {
     use super::*;
     use crate::testutil::{assert_learns, tiny_prep};
+    use crate::SequenceModel;
+    use cohortnet_tensor::Tape;
     use rand::SeedableRng;
 
     #[test]

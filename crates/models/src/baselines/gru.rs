@@ -3,9 +3,9 @@
 //! parameters than LSTM".
 
 use crate::data::Batch;
-use crate::traits::SequenceModel;
+use crate::traits::Forward;
 use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::{ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, ParamStore};
 use rand::rngs::StdRng;
 
 /// Plain GRU sequence classifier.
@@ -31,18 +31,18 @@ impl GruModel {
     }
 }
 
-impl SequenceModel for GruModel {
+impl Forward for GruModel {
     fn name(&self) -> &'static str {
         "GRU"
     }
 
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let mut h = self.cell.init_state(t, batch.size);
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let mut h = self.cell.init_state(e, batch.size);
         for step in &batch.steps {
-            let x = t.constant(step.clone());
-            h = self.cell.step(t, ps, x, h);
+            let x = e.constant(step.clone());
+            h = self.cell.step(e, ps, &x, &h);
         }
-        self.head.forward(t, ps, h)
+        self.head.forward(e, ps, &h)
     }
 }
 
@@ -50,6 +50,8 @@ impl SequenceModel for GruModel {
 mod tests {
     use super::*;
     use crate::testutil::{assert_learns, tiny_multilabel_prep, tiny_prep};
+    use crate::SequenceModel;
+    use cohortnet_tensor::Tape;
 
     #[test]
     fn learns_planted_signal() {

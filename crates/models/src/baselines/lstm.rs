@@ -2,9 +2,9 @@
 //! per-step feature vectors, predicting from the final hidden state.
 
 use crate::data::Batch;
-use crate::traits::SequenceModel;
+use crate::traits::Forward;
 use cohortnet_tensor::nn::{Linear, LstmCell};
-use cohortnet_tensor::{ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, ParamStore};
 use rand::rngs::StdRng;
 
 /// Plain LSTM sequence classifier.
@@ -30,18 +30,18 @@ impl LstmModel {
     }
 }
 
-impl SequenceModel for LstmModel {
+impl Forward for LstmModel {
     fn name(&self) -> &'static str {
         "LSTM"
     }
 
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let mut state = self.cell.init_state(t, batch.size);
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let mut state = self.cell.init_state(e, batch.size);
         for step in &batch.steps {
-            let x = t.constant(step.clone());
-            state = self.cell.step(t, ps, x, state);
+            let x = e.constant(step.clone());
+            state = self.cell.step(e, ps, &x, state);
         }
-        self.head.forward(t, ps, state.h)
+        self.head.forward(e, ps, &state.h)
     }
 }
 
@@ -49,6 +49,8 @@ impl SequenceModel for LstmModel {
 mod tests {
     use super::*;
     use crate::testutil::{assert_learns, tiny_prep};
+    use crate::SequenceModel;
+    use cohortnet_tensor::Tape;
 
     #[test]
     fn output_shape() {

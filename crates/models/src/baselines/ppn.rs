@@ -8,10 +8,10 @@
 //! prototype context with the individual representation.
 
 use crate::data::{make_batch, Batch, Prepared};
-use crate::traits::SequenceModel;
+use crate::traits::Forward;
 use cohortnet_clustering::{kmeans_fit, KMeansConfig};
 use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::{Matrix, ParamStore, Tape, Var};
+use cohortnet_tensor::{Eager, Exec, Matrix, ParamStore};
 use rand::rngs::StdRng;
 
 /// PPN: prototype-patient network over a GRU backbone.
@@ -52,51 +52,53 @@ impl PpnModel {
         &self.prototype_ids
     }
 
-    fn backbone_forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let mut h = self.backbone.init_state(t, batch.size);
+    fn backbone_forward<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let mut h = self.backbone.init_state(e, batch.size);
         for step in &batch.steps {
-            let x = t.constant(step.clone());
-            h = self.backbone.step(t, ps, x, h);
+            let x = e.constant(step.clone());
+            h = self.backbone.step(e, ps, &x, &h);
         }
         h
     }
 
+    /// Representations of every patient in `prep` (row per patient),
+    /// computed without a graph.
     fn all_representations(&self, ps: &ParamStore, prep: &Prepared) -> Matrix {
         let indices: Vec<usize> = (0..prep.patients.len()).collect();
         let mut rows: Vec<f32> = Vec::with_capacity(prep.patients.len() * self.hidden);
+        let mut e = Eager::new(ps);
         for chunk in indices.chunks(128) {
             let batch = make_batch(prep, chunk);
-            let mut t = Tape::new();
-            let h = self.backbone_forward(&mut t, ps, &batch);
-            rows.extend_from_slice(t.value(h).as_slice());
+            let h = self.backbone_forward(&mut e, ps, &batch);
+            rows.extend_from_slice(e.value(&h).as_slice());
         }
         Matrix::from_vec(prep.patients.len(), self.hidden, rows)
     }
 }
 
-impl SequenceModel for PpnModel {
+impl Forward for PpnModel {
     fn name(&self) -> &'static str {
         "PPN"
     }
 
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let h = self.backbone_forward(t, ps, batch);
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let h = self.backbone_forward(e, ps, batch);
         let context = if self.prototypes.is_empty() {
-            t.constant(Matrix::zeros(batch.size, self.hidden))
+            e.constant(Matrix::zeros(batch.size, self.hidden))
         } else {
             let k = self.prototypes.len() / self.hidden;
-            let protos = t.constant(Matrix::from_vec(k, self.hidden, self.prototypes.clone()));
+            let protos = e.constant(Matrix::from_vec(k, self.hidden, self.prototypes.clone()));
             // Similarity attention: softmax(h P^T / sqrt(d)) P. The prototype
             // matrix is constant, but gradients flow through h into the
             // attention weights — the network learns how to use prototypes.
-            let pt = t.transpose(protos);
-            let scores = t.matmul(h, pt);
-            let scaled = t.scale(scores, 1.0 / (self.hidden as f32).sqrt());
-            let alpha = t.softmax_rows(scaled);
-            t.matmul(alpha, protos)
+            let pt = e.transpose(&protos);
+            let scores = e.matmul(&h, &pt);
+            let scaled = e.scale(&scores, 1.0 / (self.hidden as f32).sqrt());
+            let alpha = e.softmax_rows(&scaled);
+            e.matmul(&alpha, &protos)
         };
-        let joined = t.concat_cols(&[h, context]);
-        self.head.forward(t, ps, joined)
+        let joined = e.concat_cols(&[&h, &context]);
+        self.head.forward(e, ps, &joined)
     }
 
     fn refresh(&mut self, ps: &ParamStore, prep: &Prepared, rng: &mut StdRng) {

@@ -7,9 +7,9 @@
 //! `c = Σ_t α_t · (β_t ⊙ v_t)` over visit embeddings `v_t`.
 
 use crate::data::Batch;
-use crate::traits::SequenceModel;
+use crate::traits::Forward;
 use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::{ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, ParamStore};
 use rand::rngs::StdRng;
 
 /// RETAIN: reverse-time two-level attention model.
@@ -48,67 +48,68 @@ impl RetainModel {
     /// Visit-level attention weights `α` for interpretation: `(batch x T)`
     /// after softmax. Exposed because RETAIN's selling point is attention
     /// interpretability.
-    pub fn visit_attention(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let (alpha, _, _) = self.attention_parts(t, ps, batch);
+    pub fn visit_attention<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let (alpha, _, _) = self.attention_parts(e, ps, batch);
         alpha
     }
 
-    fn attention_parts(
+    /// `(α, β_t per step, v_t per step)`.
+    fn attention_parts<E: Exec>(
         &self,
-        t: &mut Tape,
+        e: &mut E,
         ps: &ParamStore,
         batch: &Batch,
-    ) -> (Var, Vec<Var>, Vec<Var>) {
+    ) -> (E::V, Vec<E::V>, Vec<E::V>) {
         let steps = batch.steps.len();
         // Visit embeddings v_t.
-        let vs: Vec<Var> = batch
+        let vs: Vec<E::V> = batch
             .steps
             .iter()
             .map(|m| {
-                let x = t.constant(m.clone());
-                self.embed.forward(t, ps, x)
+                let x = e.constant(m.clone());
+                self.embed.forward(e, ps, &x)
             })
             .collect();
         // Reverse-time GRUs.
-        let mut ga = self.alpha_rnn.init_state(t, batch.size);
-        let mut gb = self.beta_rnn.init_state(t, batch.size);
+        let mut ga = self.alpha_rnn.init_state(e, batch.size);
+        let mut gb = self.beta_rnn.init_state(e, batch.size);
         let mut alpha_scores = vec![None; steps];
         let mut betas = vec![None; steps];
         for i in (0..steps).rev() {
-            ga = self.alpha_rnn.step(t, ps, vs[i], ga);
-            gb = self.beta_rnn.step(t, ps, vs[i], gb);
-            alpha_scores[i] = Some(self.alpha_out.forward(t, ps, ga));
-            let b_pre = self.beta_out.forward(t, ps, gb);
-            betas[i] = Some(t.tanh(b_pre));
+            ga = self.alpha_rnn.step(e, ps, &vs[i], &ga);
+            gb = self.beta_rnn.step(e, ps, &vs[i], &gb);
+            alpha_scores[i] = Some(self.alpha_out.forward(e, ps, &ga));
+            let b_pre = self.beta_out.forward(e, ps, &gb);
+            betas[i] = Some(e.tanh(&b_pre));
         }
-        let scores: Vec<Var> = alpha_scores.into_iter().map(Option::unwrap).collect();
-        let betas: Vec<Var> = betas.into_iter().map(Option::unwrap).collect();
-        let concat = t.concat_cols(&scores);
-        let alpha = t.softmax_rows(concat);
+        let scores: Vec<E::V> = alpha_scores.into_iter().map(Option::unwrap).collect();
+        let betas: Vec<E::V> = betas.into_iter().map(Option::unwrap).collect();
+        let concat = e.concat_cols(&scores);
+        let alpha = e.softmax_rows(&concat);
         (alpha, betas, vs)
     }
 }
 
-impl SequenceModel for RetainModel {
+impl Forward for RetainModel {
     fn name(&self) -> &'static str {
         "RETAIN"
     }
 
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let (alpha, betas, vs) = self.attention_parts(t, ps, batch);
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let (alpha, betas, vs) = self.attention_parts(e, ps, batch);
         // Context c = Σ_t α_t (β_t ⊙ v_t).
-        let mut ctx: Option<Var> = None;
-        for (i, (&b, &v)) in betas.iter().zip(vs.iter()).enumerate() {
-            let bv = t.mul(b, v);
-            let a_i = t.slice_cols(alpha, i, i + 1);
-            let weighted = t.mul_col_broadcast(bv, a_i);
+        let mut ctx: Option<E::V> = None;
+        for (i, (b, v)) in betas.iter().zip(&vs).enumerate() {
+            let bv = e.mul(b, v);
+            let a_i = e.slice_cols(&alpha, i, i + 1);
+            let weighted = e.mul_col_broadcast(&bv, &a_i);
             ctx = Some(match ctx {
-                Some(c) => t.add(c, weighted),
+                Some(c) => e.add(&c, &weighted),
                 None => weighted,
             });
         }
         let _ = self.embed_dim;
-        self.head.forward(t, ps, ctx.expect("at least one step"))
+        self.head.forward(e, ps, ctx.expect("at least one step"))
     }
 }
 
@@ -117,6 +118,7 @@ mod tests {
     use super::*;
     use crate::data::make_batch;
     use crate::testutil::{assert_learns, tiny_prep};
+    use cohortnet_tensor::Tape;
 
     #[test]
     fn learns_planted_signal() {

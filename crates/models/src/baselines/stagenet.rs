@@ -10,9 +10,9 @@
 //! component that carries the stage signal).
 
 use crate::data::Batch;
-use crate::traits::SequenceModel;
-use cohortnet_tensor::nn::{Linear, LstmCell};
-use cohortnet_tensor::{ParamStore, Tape, Var};
+use crate::traits::Forward;
+use cohortnet_tensor::nn::{Linear, LstmCell, LstmState};
+use cohortnet_tensor::{Exec, ParamStore};
 use rand::rngs::StdRng;
 
 /// StageNet: stage-aware LSTM with cell-memory re-calibration.
@@ -44,32 +44,24 @@ impl StageNetModel {
     /// Stage-progression values per step for interpretation: a column per
     /// time step in `(0, 1)`, where low values indicate a stage transition
     /// (memory discount).
-    pub fn stage_trace(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let (_, stages) = self.run(t, ps, batch);
-        t.concat_cols(&stages)
+    pub fn stage_trace<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let (_, stages) = self.run(e, ps, batch);
+        e.concat_cols(&stages)
     }
 
-    fn run(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> (Var, Vec<Var>) {
-        let mut state = self.cell.init_state(t, batch.size);
+    fn run<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> (E::V, Vec<E::V>) {
+        let mut state = self.cell.init_state(e, batch.size);
         let mut stages = Vec::with_capacity(batch.steps.len());
         for step in &batch.steps {
-            let x = t.constant(step.clone());
+            let x = e.constant(step.clone());
             // Stage gate from current input and hidden state.
-            let joined = t.concat_cols(&[x, state.h]);
-            let gate_pre = self.stage_gate.forward(t, ps, joined);
-            let gate = t.sigmoid(gate_pre);
+            let joined = e.concat_cols(&[&x, &state.h]);
+            let gate_pre = self.stage_gate.forward(e, ps, &joined);
+            let gate = e.sigmoid(&gate_pre);
             // Re-calibrate cell memory before the step: stale memory is
             // discounted when the stage shifts (gate -> 0).
-            let c_scaled = t.mul_col_broadcast(state.c, gate);
-            state = self.cell.step(
-                t,
-                ps,
-                x,
-                cohortnet_tensor::nn::LstmState {
-                    h: state.h,
-                    c: c_scaled,
-                },
-            );
+            let c = e.mul_col_broadcast(&state.c, &gate);
+            state = self.cell.step(e, ps, &x, LstmState { h: state.h, c });
             stages.push(gate);
         }
         let _ = self.hidden;
@@ -77,14 +69,14 @@ impl StageNetModel {
     }
 }
 
-impl SequenceModel for StageNetModel {
+impl Forward for StageNetModel {
     fn name(&self) -> &'static str {
         "StageNet"
     }
 
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let (h, _) = self.run(t, ps, batch);
-        self.head.forward(t, ps, h)
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+        let (h, _) = self.run(e, ps, batch);
+        self.head.forward(e, ps, &h)
     }
 }
 
@@ -92,6 +84,7 @@ impl SequenceModel for StageNetModel {
 mod tests {
     use super::*;
     use crate::testutil::{assert_learns, tiny_prep};
+    use cohortnet_tensor::Tape;
 
     #[test]
     fn learns_planted_signal() {

@@ -12,9 +12,9 @@
 //! per-step so irregular grids can be plugged in.
 
 use crate::data::Batch;
-use crate::traits::SequenceModel;
+use crate::traits::Forward;
 use cohortnet_tensor::nn::{Linear, LstmCell, LstmState};
-use cohortnet_tensor::{ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, ParamStore};
 use rand::rngs::StdRng;
 
 /// T-LSTM: time-aware LSTM with subspace memory decay.
@@ -50,33 +50,25 @@ impl TLstmModel {
     }
 }
 
-impl SequenceModel for TLstmModel {
+impl Forward for TLstmModel {
     fn name(&self) -> &'static str {
         "T-LSTM"
     }
 
-    fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
+    fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
         let g = Self::decay(self.delta_t);
-        let mut state = self.cell.init_state(t, batch.size);
+        let mut state = self.cell.init_state(e, batch.size);
         for step in &batch.steps {
             // Memory decomposition and decay.
-            let cs_pre = self.decompose.forward(t, ps, state.c);
-            let c_short = t.tanh(cs_pre);
-            let c_long = t.sub(state.c, c_short);
-            let c_short_decayed = t.scale(c_short, g);
-            let c_adj = t.add(c_long, c_short_decayed);
-            let x = t.constant(step.clone());
-            state = self.cell.step(
-                t,
-                ps,
-                x,
-                LstmState {
-                    h: state.h,
-                    c: c_adj,
-                },
-            );
+            let cs_pre = self.decompose.forward(e, ps, &state.c);
+            let c_short = e.tanh(&cs_pre);
+            let c_long = e.sub(&state.c, &c_short);
+            let c_short_decayed = e.scale(&c_short, g);
+            let c = e.add(&c_long, &c_short_decayed);
+            let x = e.constant(step.clone());
+            state = self.cell.step(e, ps, &x, LstmState { h: state.h, c });
         }
-        self.head.forward(t, ps, state.h)
+        self.head.forward(e, ps, &state.h)
     }
 }
 

@@ -41,4 +41,4 @@ pub mod traits;
 #[doc(hidden)]
 pub mod testutil;
 
-pub use traits::SequenceModel;
+pub use traits::{Forward, SequenceModel};

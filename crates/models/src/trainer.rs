@@ -29,7 +29,7 @@ use cohortnet_metrics::{binary_report, macro_report, BinaryReport};
 use cohortnet_obs::log::Level;
 use cohortnet_obs::obs_log;
 use cohortnet_tensor::optim::Adam;
-use cohortnet_tensor::{GradBuffer, ParamStore, Tape};
+use cohortnet_tensor::{Exec, GradBuffer, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -252,13 +252,12 @@ pub fn predict_probs(
     out
 }
 
-/// Runs one forward pass on a single batch without training — used by the
-/// Fig. 11 inference-time measurements. It records the forward on a tape
-/// for every model, so all of them are timed the same way.
+/// Seconds [`SequenceModel::predict`] takes on one batch — the Fig. 11
+/// inference-time measurement. Every model predicts on the value-only
+/// executor, so all of them are timed the same way, without a graph.
 pub fn inference_time(model: &dyn SequenceModel, ps: &ParamStore, batch: &Batch) -> f64 {
     let t0 = Instant::now();
-    let mut tape = Tape::new();
-    let _ = model.forward(&mut tape, ps, batch);
+    let _ = model.predict(ps, batch);
     t0.elapsed().as_secs_f64()
 }
 
@@ -297,22 +296,22 @@ pub fn loss_decreased(stats: &TrainStats) -> bool {
 mod tests {
     use super::*;
     use crate::data::prepare;
+    use crate::traits::Forward;
     use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
     use cohortnet_tensor::nn::Linear;
-    use cohortnet_tensor::Var;
 
     /// Trivial model: logistic regression on the last time step.
     struct LastStepLogit {
         head: Linear,
     }
 
-    impl SequenceModel for LastStepLogit {
+    impl Forward for LastStepLogit {
         fn name(&self) -> &'static str {
             "last-step-logit"
         }
-        fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-            let x = t.constant(batch.steps.last().unwrap().clone());
-            self.head.forward(t, ps, x)
+        fn logits<E: Exec>(&self, e: &mut E, ps: &ParamStore, batch: &Batch) -> E::V {
+            let x = e.constant(batch.steps.last().unwrap().clone());
+            self.head.forward(e, ps, &x)
         }
     }
 

@@ -19,7 +19,7 @@
 //! HTTP/1.0 (or anything else) to close, and an explicit `Connection:`
 //! header wins either way. The parsed verdict rides on [`Request::close`].
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -285,32 +285,10 @@ pub fn render_response(
     out
 }
 
-/// Writes a complete `Connection: close` response and flushes.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<()> {
-    let raw = render_response(status, content_type, body, extra_headers, true);
-    stream.write_all(&raw)?;
-    stream.flush()
-}
-
-/// Writes a JSON response.
-pub fn write_json(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<()> {
-    write_response(stream, status, "application/json", body, extra_headers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
 
     fn round_trip(raw: &[u8]) -> Result<Request, HttpError> {
@@ -445,14 +423,8 @@ mod tests {
             out
         });
         let (mut conn, _) = listener.accept().expect("accept");
-        write_response(
-            &mut conn,
-            200,
-            "text/plain",
-            "hi",
-            &[("X-Request-Id", "abc-1")],
-        )
-        .expect("write");
+        let raw = render_response(200, "text/plain", "hi", &[("X-Request-Id", "abc-1")], true);
+        conn.write_all(&raw).expect("write");
         drop(conn);
         let raw = reader.join().expect("reader thread");
         assert!(raw.contains("X-Request-Id: abc-1\r\n"), "{raw}");

@@ -71,6 +71,7 @@ use crate::matrix::Matrix;
 use crate::nn::{Biel, GruCell, GruParams, Linear};
 use crate::param::{ParamId, ParamStore};
 use crate::quant::{qgemm, qgemm_rows, QuantRows, QuantWeights};
+use std::borrow::Borrow;
 
 /// The activation a grouped [`Exec::linear_blocks`] applies to `x W + b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,8 +84,10 @@ pub enum Act {
 
 /// An executor of model forward passes (see the module docs).
 ///
-/// Operands are passed by reference; `Self::V` is a cheap node handle on the
-/// tape and an owned value on the eager executor.
+/// `Self::V` is a cheap node handle on the tape and an owned value on the
+/// eager executor. Operands are taken as `impl Borrow<Self::V>`, so callers
+/// pass [`crate::tape::Var`] handles by value and owned values by
+/// reference.
 pub trait Exec: Sized {
     /// A computed value (or a handle to one).
     type V: Clone;
@@ -99,37 +102,55 @@ pub trait Exec: Sized {
     /// The current value of parameter `id` in `ps`.
     fn param(&mut self, ps: &ParamStore, id: ParamId) -> Self::V;
     /// Matrix product `a · b`.
-    fn matmul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+    fn matmul(&mut self, a: impl Borrow<Self::V>, b: impl Borrow<Self::V>) -> Self::V;
     /// Element-wise sum of equally shaped values.
-    fn add(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+    fn add(&mut self, a: impl Borrow<Self::V>, b: impl Borrow<Self::V>) -> Self::V;
     /// `(r x c) + (1 x c)`: adds a row vector (bias) to every row.
-    fn add_row_broadcast(&mut self, a: &Self::V, bias: &Self::V) -> Self::V;
+    fn add_row_broadcast(&mut self, a: impl Borrow<Self::V>, bias: impl Borrow<Self::V>)
+        -> Self::V;
+    /// Element-wise difference of equally shaped values.
+    fn sub(&mut self, a: impl Borrow<Self::V>, b: impl Borrow<Self::V>) -> Self::V;
     /// Element-wise (Hadamard) product.
-    fn mul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+    fn mul(&mut self, a: impl Borrow<Self::V>, b: impl Borrow<Self::V>) -> Self::V;
     /// `(r x c) * (r x 1)`: scales row `r` of `a` by `w[r]`.
-    fn mul_col_broadcast(&mut self, a: &Self::V, w: &Self::V) -> Self::V;
+    fn mul_col_broadcast(&mut self, a: impl Borrow<Self::V>, w: impl Borrow<Self::V>) -> Self::V;
     /// Multiplication by a scalar.
-    fn scale(&mut self, a: &Self::V, s: f32) -> Self::V;
+    fn scale(&mut self, a: impl Borrow<Self::V>, s: f32) -> Self::V;
     /// Transposed copy.
-    fn transpose(&mut self, a: &Self::V) -> Self::V;
+    fn transpose(&mut self, a: impl Borrow<Self::V>) -> Self::V;
     /// Element-wise logistic sigmoid.
-    fn sigmoid(&mut self, a: &Self::V) -> Self::V;
+    fn sigmoid(&mut self, a: impl Borrow<Self::V>) -> Self::V;
     /// Element-wise hyperbolic tangent.
-    fn tanh(&mut self, a: &Self::V) -> Self::V;
+    fn tanh(&mut self, a: impl Borrow<Self::V>) -> Self::V;
     /// Fused gate `σ(a + b + bias)`.
-    fn gate_sigmoid(&mut self, a: &Self::V, b: &Self::V, bias: &Self::V) -> Self::V;
+    fn gate_sigmoid(
+        &mut self,
+        a: impl Borrow<Self::V>,
+        b: impl Borrow<Self::V>,
+        bias: impl Borrow<Self::V>,
+    ) -> Self::V;
     /// Fused gate `tanh(a + b + bias)`.
-    fn gate_tanh(&mut self, a: &Self::V, b: &Self::V, bias: &Self::V) -> Self::V;
+    fn gate_tanh(
+        &mut self,
+        a: impl Borrow<Self::V>,
+        b: impl Borrow<Self::V>,
+        bias: impl Borrow<Self::V>,
+    ) -> Self::V;
     /// Fused GRU state blend `(1 - z) ⊙ h + z ⊙ cand`.
-    fn gru_blend(&mut self, z: &Self::V, h: &Self::V, cand: &Self::V) -> Self::V;
+    fn gru_blend(
+        &mut self,
+        z: impl Borrow<Self::V>,
+        h: impl Borrow<Self::V>,
+        cand: impl Borrow<Self::V>,
+    ) -> Self::V;
     /// Row-wise softmax.
-    fn softmax_rows(&mut self, a: &Self::V) -> Self::V;
+    fn softmax_rows(&mut self, a: impl Borrow<Self::V>) -> Self::V;
     /// Row sums: `(r x c) -> (r x 1)`.
-    fn sum_cols(&mut self, a: &Self::V) -> Self::V;
+    fn sum_cols(&mut self, a: impl Borrow<Self::V>) -> Self::V;
     /// Horizontal concatenation of values sharing a row count.
-    fn concat_cols(&mut self, parts: &[&Self::V]) -> Self::V;
+    fn concat_cols(&mut self, parts: &[impl Borrow<Self::V>]) -> Self::V;
     /// Copy of columns `[start, end)`.
-    fn slice_cols(&mut self, a: &Self::V, start: usize, end: usize) -> Self::V;
+    fn slice_cols(&mut self, a: impl Borrow<Self::V>, start: usize, end: usize) -> Self::V;
 
     /// Groups per-feature values of one shape: block `f` is `parts[f]`.
     fn group(&mut self, parts: Vec<Self::V>) -> Self::G;
@@ -365,6 +386,12 @@ pub(crate) mod kernel {
     pub(crate) fn add(buf: Vec<f32>, a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.shape(), b.shape(), "add shape mismatch");
         zip(buf, a, b, |x, y| x + y)
+    }
+
+    #[inline]
+    pub(crate) fn sub(buf: Vec<f32>, a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.shape(), b.shape(), "sub shape mismatch");
+        zip(buf, a, b, |x, y| x - y)
     }
 
     #[inline]
@@ -873,6 +900,30 @@ impl<'a> Eager<'a> {
         }
     }
 
+    /// `kernel` over the values of `a` and `b`.
+    fn binary(
+        &self,
+        a: impl Borrow<Val>,
+        b: impl Borrow<Val>,
+        kernel: fn(Vec<f32>, &Matrix, &Matrix) -> Matrix,
+    ) -> Val {
+        let (a, b) = (self.w.value(a.borrow()), self.w.value(b.borrow()));
+        Val::Owned(kernel(Vec::new(), a, b))
+    }
+
+    /// The fused gate `act(a + b + bias)`.
+    fn gate(
+        &self,
+        a: impl Borrow<Val>,
+        b: impl Borrow<Val>,
+        bias: impl Borrow<Val>,
+        kind: kernel::GateKind,
+    ) -> Val {
+        let (a, b) = (self.w.value(a.borrow()), self.w.value(b.borrow()));
+        let bias = self.w.value(bias.borrow());
+        Val::Owned(kernel::gate(Vec::new(), a, b, bias, kind))
+    }
+
     fn check_store(&self, ps: &ParamStore) {
         debug_assert!(
             std::ptr::eq(ps, self.w.ps),
@@ -898,9 +949,9 @@ impl Exec for Eager<'_> {
         Val::Param(id)
     }
 
-    fn matmul(&mut self, a: &Val, b: &Val) -> Val {
-        let x = self.w.value(a);
-        match b {
+    fn matmul(&mut self, a: impl Borrow<Val>, b: impl Borrow<Val>) -> Val {
+        let x = self.w.value(a.borrow());
+        match b.borrow() {
             Val::Param(id) => {
                 let mut out = Matrix::default();
                 self.w.matmul(x, None, *id, &mut out);
@@ -910,63 +961,67 @@ impl Exec for Eager<'_> {
         }
     }
 
-    fn add(&mut self, a: &Val, b: &Val) -> Val {
-        Val::Owned(kernel::add(Vec::new(), self.value(a), self.value(b)))
+    fn add(&mut self, a: impl Borrow<Val>, b: impl Borrow<Val>) -> Val {
+        self.binary(a, b, kernel::add)
     }
 
-    fn add_row_broadcast(&mut self, a: &Val, bias: &Val) -> Val {
-        Val::Owned(kernel::add_row_broadcast(
-            Vec::new(),
-            self.value(a),
-            self.value(bias),
-        ))
+    fn add_row_broadcast(&mut self, a: impl Borrow<Val>, bias: impl Borrow<Val>) -> Val {
+        self.binary(a, bias, kernel::add_row_broadcast)
     }
 
-    fn mul(&mut self, a: &Val, b: &Val) -> Val {
-        Val::Owned(kernel::mul(Vec::new(), self.value(a), self.value(b)))
+    fn sub(&mut self, a: impl Borrow<Val>, b: impl Borrow<Val>) -> Val {
+        self.binary(a, b, kernel::sub)
     }
 
-    fn mul_col_broadcast(&mut self, a: &Val, w: &Val) -> Val {
-        Val::Owned(kernel::mul_col_broadcast(
-            Vec::new(),
-            self.value(a),
-            self.value(w),
-        ))
+    fn mul(&mut self, a: impl Borrow<Val>, b: impl Borrow<Val>) -> Val {
+        self.binary(a, b, kernel::mul)
     }
 
-    fn scale(&mut self, a: &Val, s: f32) -> Val {
-        Val::Owned(kernel::scale(Vec::new(), self.value(a), s))
+    fn mul_col_broadcast(&mut self, a: impl Borrow<Val>, w: impl Borrow<Val>) -> Val {
+        self.binary(a, w, kernel::mul_col_broadcast)
     }
 
-    fn transpose(&mut self, a: &Val) -> Val {
-        Val::Owned(self.value(a).transpose())
+    fn scale(&mut self, a: impl Borrow<Val>, s: f32) -> Val {
+        Val::Owned(kernel::scale(Vec::new(), self.value(a.borrow()), s))
     }
 
-    fn sigmoid(&mut self, a: &Val) -> Val {
-        Val::Owned(kernel::sigmoid(Vec::new(), self.value(a)))
+    fn transpose(&mut self, a: impl Borrow<Val>) -> Val {
+        Val::Owned(self.value(a.borrow()).transpose())
     }
 
-    fn tanh(&mut self, a: &Val) -> Val {
-        Val::Owned(kernel::tanh(Vec::new(), self.value(a)))
+    fn sigmoid(&mut self, a: impl Borrow<Val>) -> Val {
+        Val::Owned(kernel::sigmoid(Vec::new(), self.value(a.borrow())))
     }
 
-    fn gate_sigmoid(&mut self, a: &Val, b: &Val, bias: &Val) -> Val {
-        let (a, b, bias) = (self.value(a), self.value(b), self.value(bias));
-        Val::Owned(kernel::gate(
-            Vec::new(),
-            a,
-            b,
-            bias,
-            kernel::GateKind::Sigmoid,
-        ))
+    fn tanh(&mut self, a: impl Borrow<Val>) -> Val {
+        Val::Owned(kernel::tanh(Vec::new(), self.value(a.borrow())))
     }
 
-    fn gate_tanh(&mut self, a: &Val, b: &Val, bias: &Val) -> Val {
-        let (a, b, bias) = (self.value(a), self.value(b), self.value(bias));
-        Val::Owned(kernel::gate(Vec::new(), a, b, bias, kernel::GateKind::Tanh))
+    fn gate_sigmoid(
+        &mut self,
+        a: impl Borrow<Val>,
+        b: impl Borrow<Val>,
+        bias: impl Borrow<Val>,
+    ) -> Val {
+        self.gate(a, b, bias, kernel::GateKind::Sigmoid)
     }
 
-    fn gru_blend(&mut self, z: &Val, h: &Val, cand: &Val) -> Val {
+    fn gate_tanh(
+        &mut self,
+        a: impl Borrow<Val>,
+        b: impl Borrow<Val>,
+        bias: impl Borrow<Val>,
+    ) -> Val {
+        self.gate(a, b, bias, kernel::GateKind::Tanh)
+    }
+
+    fn gru_blend(
+        &mut self,
+        z: impl Borrow<Val>,
+        h: impl Borrow<Val>,
+        cand: impl Borrow<Val>,
+    ) -> Val {
+        let (z, h, cand) = (z.borrow(), h.borrow(), cand.borrow());
         Val::Owned(kernel::gru_blend(
             Vec::new(),
             self.value(z),
@@ -975,21 +1030,21 @@ impl Exec for Eager<'_> {
         ))
     }
 
-    fn softmax_rows(&mut self, a: &Val) -> Val {
-        Val::Owned(self.value(a).softmax_rows())
+    fn softmax_rows(&mut self, a: impl Borrow<Val>) -> Val {
+        Val::Owned(self.value(a.borrow()).softmax_rows())
     }
 
-    fn sum_cols(&mut self, a: &Val) -> Val {
-        Val::Owned(self.value(a).sum_cols())
+    fn sum_cols(&mut self, a: impl Borrow<Val>) -> Val {
+        Val::Owned(self.value(a.borrow()).sum_cols())
     }
 
-    fn concat_cols(&mut self, parts: &[&Val]) -> Val {
-        let mats: Vec<&Matrix> = parts.iter().map(|v| self.value(v)).collect();
+    fn concat_cols(&mut self, parts: &[impl Borrow<Val>]) -> Val {
+        let mats: Vec<&Matrix> = parts.iter().map(|v| self.value(v.borrow())).collect();
         Val::Owned(Matrix::concat_cols(&mats))
     }
 
-    fn slice_cols(&mut self, a: &Val, start: usize, end: usize) -> Val {
-        Val::Owned(self.value(a).slice_cols(start, end))
+    fn slice_cols(&mut self, a: impl Borrow<Val>, start: usize, end: usize) -> Val {
+        Val::Owned(self.value(a.borrow()).slice_cols(start, end))
     }
 
     fn group(&mut self, parts: Vec<Val>) -> Stack {
@@ -1130,6 +1185,7 @@ mod tests {
             e.matmul(&a, &sq),
             e.add(&a, &b),
             e.add_row_broadcast(&a, &bias),
+            e.sub(&a, &b),
             e.mul(&a, &b),
             e.mul_col_broadcast(&a, &w),
             e.scale(&a, -0.3),

@@ -4,6 +4,7 @@
 //! on the [`crate::tape::Tape`] against a central-difference numerical
 //! gradient.
 
+use crate::exec::Exec;
 use crate::matrix::Matrix;
 use crate::param::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};

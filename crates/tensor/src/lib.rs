@@ -19,6 +19,7 @@
 //! ## Example
 //!
 //! ```
+//! use cohortnet_tensor::exec::Exec;
 //! use cohortnet_tensor::matrix::Matrix;
 //! use cohortnet_tensor::param::ParamStore;
 //! use cohortnet_tensor::tape::Tape;

@@ -5,11 +5,13 @@
 //! executor. Layers are therefore cheap to clone-free share across time
 //! steps — weight tying across a sequence falls out naturally.
 //!
-//! [`Linear`], [`GruCell`] and [`Biel`] — the layers CohortNet's forward
-//! is built from — are generic over [`Exec`], so one definition runs on
-//! the autograd [`Tape`] and on the value-only [`crate::exec::Eager`]
-//! executor. Inputs are taken as `impl Borrow<E::V>`: tape callers pass
-//! [`Var`] handles by value, eager callers pass references to owned values.
+//! [`Linear`], [`GruCell`], [`LstmCell`] and [`Biel`] — the layers every
+//! model's forward is built from — are generic over [`Exec`], so one
+//! definition runs on the autograd [`Tape`] and on the value-only
+//! [`crate::exec::Eager`] executor. Inputs are taken as `impl Borrow<E::V>`:
+//! tape callers pass [`Var`] handles by value, eager callers pass
+//! references to owned values. [`Mlp`] records on a tape only: its ReLU is a
+//! tape op.
 
 use crate::exec::Exec;
 use crate::init;
@@ -412,12 +414,18 @@ impl GruCell {
 
     /// Unrolls the cell over a sequence of inputs, returning all hidden
     /// states (one per step).
-    pub fn unroll(&self, t: &mut Tape, ps: &ParamStore, xs: &[Var], batch: usize) -> Vec<Var> {
-        let mut h = self.init_state(t, batch);
+    pub fn unroll<E: Exec>(
+        &self,
+        e: &mut E,
+        ps: &ParamStore,
+        xs: &[E::V],
+        batch: usize,
+    ) -> Vec<E::V> {
+        let mut h = self.init_state(e, batch);
         let mut out = Vec::with_capacity(xs.len());
-        for &x in xs {
-            h = self.step(t, ps, x, h);
-            out.push(h);
+        for x in xs {
+            h = self.step(e, ps, x, &h);
+            out.push(h.clone());
         }
         out
     }
@@ -444,13 +452,14 @@ pub struct LstmCell {
     pub hidden_dim: usize,
 }
 
-/// The `(hidden, cell)` state pair of an LSTM.
+/// The `(hidden, cell)` state pair of an LSTM. `V` is the executor's value
+/// type ([`Var`] on a tape).
 #[derive(Debug, Clone, Copy)]
-pub struct LstmState {
-    /// Hidden state node.
-    pub h: Var,
-    /// Cell memory node.
-    pub c: Var,
+pub struct LstmState<V = Var> {
+    /// Hidden state.
+    pub h: V,
+    /// Cell memory.
+    pub c: V,
 }
 
 impl LstmCell {
@@ -509,40 +518,47 @@ impl LstmCell {
     }
 
     /// Creates the initial zero state for a batch.
-    pub fn init_state(&self, t: &mut Tape, batch: usize) -> LstmState {
+    pub fn init_state<E: Exec>(&self, e: &mut E, batch: usize) -> LstmState<E::V> {
         LstmState {
-            h: t.constant(crate::matrix::Matrix::zeros(batch, self.hidden_dim)),
-            c: t.constant(crate::matrix::Matrix::zeros(batch, self.hidden_dim)),
+            h: e.constant(crate::matrix::Matrix::zeros(batch, self.hidden_dim)),
+            c: e.constant(crate::matrix::Matrix::zeros(batch, self.hidden_dim)),
         }
     }
 
-    /// One recurrent step. Every gate is one fused
-    /// `σ/tanh(xW + hU + b)` node.
-    pub fn step(&self, t: &mut Tape, ps: &ParamStore, x: Var, state: LstmState) -> LstmState {
-        let pre = |t: &mut Tape, w: ParamId, u: ParamId| {
-            let wv = t.param(ps, w);
-            let uv = t.param(ps, u);
-            let xw = t.matmul(x, wv);
-            let hu = t.matmul(state.h, uv);
+    /// One recurrent step. Every gate is one fused `σ/tanh(xW + hU + b)`
+    /// op.
+    pub fn step<E: Exec>(
+        &self,
+        e: &mut E,
+        ps: &ParamStore,
+        x: impl Borrow<E::V>,
+        state: LstmState<E::V>,
+    ) -> LstmState<E::V> {
+        let (x, h) = (x.borrow(), &state.h);
+        let pre = |e: &mut E, w: ParamId, u: ParamId| {
+            let wv = e.param(ps, w);
+            let uv = e.param(ps, u);
+            let xw = e.matmul(x, &wv);
+            let hu = e.matmul(h, &uv);
             (xw, hu)
         };
-        let (ixw, ihu) = pre(t, self.wi, self.ui);
-        let bi = t.param(ps, self.bi);
-        let i = t.gate_sigmoid(ixw, ihu, bi);
-        let (fxw, fhu) = pre(t, self.wf, self.uf);
-        let bf = t.param(ps, self.bf);
-        let f = t.gate_sigmoid(fxw, fhu, bf);
-        let (oxw, ohu) = pre(t, self.wo, self.uo);
-        let bo = t.param(ps, self.bo);
-        let o = t.gate_sigmoid(oxw, ohu, bo);
-        let (gxw, ghu) = pre(t, self.wc, self.uc);
-        let bc = t.param(ps, self.bc);
-        let g = t.gate_tanh(gxw, ghu, bc);
-        let fc = t.mul(f, state.c);
-        let ig = t.mul(i, g);
-        let c = t.add(fc, ig);
-        let tc = t.tanh(c);
-        let h = t.mul(o, tc);
+        let (ixw, ihu) = pre(e, self.wi, self.ui);
+        let bi = e.param(ps, self.bi);
+        let i = e.gate_sigmoid(&ixw, &ihu, &bi);
+        let (fxw, fhu) = pre(e, self.wf, self.uf);
+        let bf = e.param(ps, self.bf);
+        let f = e.gate_sigmoid(&fxw, &fhu, &bf);
+        let (oxw, ohu) = pre(e, self.wo, self.uo);
+        let bo = e.param(ps, self.bo);
+        let o = e.gate_sigmoid(&oxw, &ohu, &bo);
+        let (gxw, ghu) = pre(e, self.wc, self.uc);
+        let bc = e.param(ps, self.bc);
+        let g = e.gate_tanh(&gxw, &ghu, &bc);
+        let fc = e.mul(&f, &state.c);
+        let ig = e.mul(&i, &g);
+        let c = e.add(&fc, &ig);
+        let tc = e.tanh(&c);
+        let h = e.mul(&o, &tc);
         LstmState { h, c }
     }
 }

@@ -97,6 +97,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Exec;
     use crate::tape::Tape;
 
     /// Minimises (w - 3)^2 and checks convergence.

@@ -32,6 +32,7 @@ use crate::gemm::gemm_into;
 use crate::matrix::Matrix;
 use crate::nn::{Biel, GruCell, GruParams, Linear};
 use crate::param::{ParamId, ParamStore};
+use std::borrow::Borrow;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -329,78 +330,10 @@ impl Tape {
         self.nodes[v.0].grad.as_ref()
     }
 
-    // ---------------------------------------------------------------- leaves
-
-    /// Records a constant (non-differentiable) input.
-    pub fn constant(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf)
-    }
-
-    /// Records a parameter leaf by copying its current value from the store.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let v = self.copy(store.value(id));
-        self.push(v, Op::Param(id))
-    }
-
     // ------------------------------------------------------------------ ops
-
-    /// Matrix product.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let buf = self.grab();
-        let v = kernel::matmul(buf, self.value(a), self.value(b));
-        self.push(v, Op::MatMul(a, b))
-    }
-
-    /// Element-wise sum of equally shaped nodes.
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let buf = self.grab();
-        let v = kernel::add(buf, self.value(a), self.value(b));
-        self.push(v, Op::Add(a, b))
-    }
-
-    /// `(r x c) + (1 x c)`: adds a row vector (bias) to every row.
-    pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let buf = self.grab();
-        let v = kernel::add_row_broadcast(buf, self.value(a), self.value(bias));
-        self.push(v, Op::AddRowBroadcast(a, bias))
-    }
-
-    /// Element-wise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let mut buf = self.grab();
-        let (am, bm) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(am.shape(), bm.shape(), "sub shape mismatch");
-        buf.extend(
-            am.as_slice()
-                .iter()
-                .zip(bm.as_slice())
-                .map(|(&x, &y)| x - y),
-        );
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
-        self.push(v, Op::Sub(a, b))
-    }
-
-    /// Element-wise (Hadamard) product.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let buf = self.grab();
-        let v = kernel::mul(buf, self.value(a), self.value(b));
-        self.push(v, Op::Mul(a, b))
-    }
-
-    /// `(r x c) * (r x 1)`: scales each row of `a` by the matching entry of
-    /// the column vector `w` (e.g. per-sample attention weights).
-    pub fn mul_col_broadcast(&mut self, a: Var, w: Var) -> Var {
-        let buf = self.grab();
-        let v = kernel::mul_col_broadcast(buf, self.value(a), self.value(w));
-        self.push(v, Op::MulColBroadcast(a, w))
-    }
-
-    /// Multiplication by a compile-time scalar.
-    pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let buf = self.grab();
-        let v = kernel::scale(buf, self.value(a), s);
-        self.push(v, Op::Scale(a, s))
-    }
+    //
+    // The ops forwards are written with are the [`Exec`] impl below; these
+    // are the tape-only ones.
 
     /// Addition of a compile-time scalar.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
@@ -411,32 +344,6 @@ impl Tape {
         self.push(v, Op::AddScalar(a))
     }
 
-    /// Convenience for `1 - a`, common in gated RNN cells.
-    pub fn one_minus(&mut self, a: Var) -> Var {
-        let neg = self.scale(a, -1.0);
-        self.add_scalar(neg, 1.0)
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.transpose();
-        self.push(v, Op::Transpose(a))
-    }
-
-    /// Element-wise logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let buf = self.grab();
-        let v = kernel::sigmoid(buf, self.value(a));
-        self.push(v, Op::Sigmoid(a))
-    }
-
-    /// Element-wise hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let buf = self.grab();
-        let v = kernel::tanh(buf, self.value(a));
-        self.push(v, Op::Tanh(a))
-    }
-
     /// Element-wise rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
         let mut buf = self.grab();
@@ -444,49 +351,6 @@ impl Tape {
         buf.extend(am.as_slice().iter().map(|&x| x.max(0.0)));
         let v = Matrix::from_vec(am.rows(), am.cols(), buf);
         self.push(v, Op::Relu(a))
-    }
-
-    /// Fused sigmoid gate: `σ(a + b + bias)` in one node.
-    ///
-    /// Semantically identical to `sigmoid(add_row_broadcast(add(a, b), bias))`
-    /// but records one node instead of three — the shape every GRU/LSTM gate
-    /// takes (`x·W + h·U + b`).
-    pub fn gate_sigmoid(&mut self, a: Var, b: Var, bias: Var) -> Var {
-        self.gate_act(a, b, bias, GateKind::Sigmoid)
-    }
-
-    /// Fused tanh gate: `tanh(a + b + bias)` in one node (see
-    /// [`Tape::gate_sigmoid`]).
-    pub fn gate_tanh(&mut self, a: Var, b: Var, bias: Var) -> Var {
-        self.gate_act(a, b, bias, GateKind::Tanh)
-    }
-
-    fn gate_act(&mut self, a: Var, b: Var, bias: Var, kind: GateKind) -> Var {
-        let buf = self.grab();
-        let v = kernel::gate(buf, self.value(a), self.value(b), self.value(bias), kind);
-        self.push(v, Op::GateAct(a, b, bias, kind))
-    }
-
-    /// Fused GRU state blend: `(1 - z) ⊙ h + z ⊙ cand` in one node.
-    ///
-    /// Replaces the `one_minus` / `mul` / `mul` / `add` five-node chain at
-    /// the end of every GRU step.
-    pub fn gru_blend(&mut self, z: Var, h: Var, cand: Var) -> Var {
-        let buf = self.grab();
-        let v = kernel::gru_blend(buf, self.value(z), self.value(h), self.value(cand));
-        self.push(v, Op::GruBlend(z, h, cand))
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.softmax_rows();
-        self.push(v, Op::SoftmaxRows(a))
-    }
-
-    /// Row sums: `(r x c) -> (r x 1)`.
-    pub fn sum_cols(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.sum_cols();
-        self.push(v, Op::SumCols(a))
     }
 
     /// Column sums: `(r x c) -> (1 x c)`.
@@ -501,18 +365,46 @@ impl Tape {
         self.push(v, Op::MeanAll(a))
     }
 
-    /// Horizontal concatenation of nodes sharing a row count.
-    pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat_cols needs at least one node");
-        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.nodes[v.0].value).collect();
-        let v = Matrix::concat_cols(&mats);
-        self.push(v, Op::ConcatCols(parts.to_vec()))
+    /// Records `op(a, b)`, valued by `kernel` over the values of `a` and `b`.
+    fn binary(
+        &mut self,
+        a: impl Borrow<Var>,
+        b: impl Borrow<Var>,
+        kernel: fn(Vec<f32>, &Matrix, &Matrix) -> Matrix,
+        op: fn(Var, Var) -> Op,
+    ) -> Var {
+        let (a, b) = (*a.borrow(), *b.borrow());
+        let buf = self.grab();
+        let v = kernel(buf, self.value(a), self.value(b));
+        self.push(v, op(a, b))
     }
 
-    /// Copy of columns `[start, end)` of `a`.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let v = self.nodes[a.0].value.slice_cols(start, end);
-        self.push(v, Op::SliceCols(a, start))
+    /// Records `op(a)`, valued by `kernel` over the value of `a`.
+    fn unary(
+        &mut self,
+        a: impl Borrow<Var>,
+        kernel: fn(Vec<f32>, &Matrix) -> Matrix,
+        op: fn(Var) -> Op,
+    ) -> Var {
+        let a = *a.borrow();
+        let buf = self.grab();
+        let v = kernel(buf, self.value(a));
+        self.push(v, op(a))
+    }
+
+    /// Records the fused gate `act(a + b + bias)` as one node: the shape
+    /// every GRU/LSTM gate takes (`x·W + h·U + b`).
+    fn gate_act(
+        &mut self,
+        a: impl Borrow<Var>,
+        b: impl Borrow<Var>,
+        bias: impl Borrow<Var>,
+        kind: GateKind,
+    ) -> Var {
+        let (a, b, bias) = (*a.borrow(), *b.borrow(), *bias.borrow());
+        let buf = self.grab();
+        let v = kernel::gate(buf, self.value(a), self.value(b), self.value(bias), kind);
+        self.push(v, Op::GateAct(a, b, bias, kind))
     }
 
     /// Mean binary cross-entropy from logits against constant 0/1 targets.
@@ -1252,77 +1144,116 @@ impl Exec for Tape {
         Tape::value(self, *v)
     }
 
+    /// Records a constant (non-differentiable) input.
     fn constant(&mut self, value: Matrix) -> Var {
-        Tape::constant(self, value)
+        self.push(value, Op::Leaf)
     }
 
+    /// Records a parameter leaf by copying its current value from the store.
     fn param(&mut self, ps: &ParamStore, id: ParamId) -> Var {
-        Tape::param(self, ps, id)
+        let v = self.copy(ps.value(id));
+        self.push(v, Op::Param(id))
     }
 
-    fn matmul(&mut self, a: &Var, b: &Var) -> Var {
-        Tape::matmul(self, *a, *b)
+    fn matmul(&mut self, a: impl Borrow<Var>, b: impl Borrow<Var>) -> Var {
+        self.binary(a, b, kernel::matmul, Op::MatMul)
     }
 
-    fn add(&mut self, a: &Var, b: &Var) -> Var {
-        Tape::add(self, *a, *b)
+    fn add(&mut self, a: impl Borrow<Var>, b: impl Borrow<Var>) -> Var {
+        self.binary(a, b, kernel::add, Op::Add)
     }
 
-    fn add_row_broadcast(&mut self, a: &Var, bias: &Var) -> Var {
-        Tape::add_row_broadcast(self, *a, *bias)
+    fn add_row_broadcast(&mut self, a: impl Borrow<Var>, bias: impl Borrow<Var>) -> Var {
+        self.binary(a, bias, kernel::add_row_broadcast, Op::AddRowBroadcast)
     }
 
-    fn mul(&mut self, a: &Var, b: &Var) -> Var {
-        Tape::mul(self, *a, *b)
+    fn sub(&mut self, a: impl Borrow<Var>, b: impl Borrow<Var>) -> Var {
+        self.binary(a, b, kernel::sub, Op::Sub)
     }
 
-    fn mul_col_broadcast(&mut self, a: &Var, w: &Var) -> Var {
-        Tape::mul_col_broadcast(self, *a, *w)
+    fn mul(&mut self, a: impl Borrow<Var>, b: impl Borrow<Var>) -> Var {
+        self.binary(a, b, kernel::mul, Op::Mul)
     }
 
-    fn scale(&mut self, a: &Var, s: f32) -> Var {
-        Tape::scale(self, *a, s)
+    fn mul_col_broadcast(&mut self, a: impl Borrow<Var>, w: impl Borrow<Var>) -> Var {
+        self.binary(a, w, kernel::mul_col_broadcast, Op::MulColBroadcast)
     }
 
-    fn transpose(&mut self, a: &Var) -> Var {
-        Tape::transpose(self, *a)
+    fn scale(&mut self, a: impl Borrow<Var>, s: f32) -> Var {
+        let a = *a.borrow();
+        let buf = self.grab();
+        let v = kernel::scale(buf, self.value(a), s);
+        self.push(v, Op::Scale(a, s))
     }
 
-    fn sigmoid(&mut self, a: &Var) -> Var {
-        Tape::sigmoid(self, *a)
+    fn transpose(&mut self, a: impl Borrow<Var>) -> Var {
+        let a = *a.borrow();
+        let v = self.nodes[a.0].value.transpose();
+        self.push(v, Op::Transpose(a))
     }
 
-    fn tanh(&mut self, a: &Var) -> Var {
-        Tape::tanh(self, *a)
+    fn sigmoid(&mut self, a: impl Borrow<Var>) -> Var {
+        self.unary(a, kernel::sigmoid, Op::Sigmoid)
     }
 
-    fn gate_sigmoid(&mut self, a: &Var, b: &Var, bias: &Var) -> Var {
-        Tape::gate_sigmoid(self, *a, *b, *bias)
+    fn tanh(&mut self, a: impl Borrow<Var>) -> Var {
+        self.unary(a, kernel::tanh, Op::Tanh)
     }
 
-    fn gate_tanh(&mut self, a: &Var, b: &Var, bias: &Var) -> Var {
-        Tape::gate_tanh(self, *a, *b, *bias)
+    fn gate_sigmoid(
+        &mut self,
+        a: impl Borrow<Var>,
+        b: impl Borrow<Var>,
+        bias: impl Borrow<Var>,
+    ) -> Var {
+        self.gate_act(a, b, bias, GateKind::Sigmoid)
     }
 
-    fn gru_blend(&mut self, z: &Var, h: &Var, cand: &Var) -> Var {
-        Tape::gru_blend(self, *z, *h, *cand)
+    fn gate_tanh(
+        &mut self,
+        a: impl Borrow<Var>,
+        b: impl Borrow<Var>,
+        bias: impl Borrow<Var>,
+    ) -> Var {
+        self.gate_act(a, b, bias, GateKind::Tanh)
     }
 
-    fn softmax_rows(&mut self, a: &Var) -> Var {
-        Tape::softmax_rows(self, *a)
+    fn gru_blend(
+        &mut self,
+        z: impl Borrow<Var>,
+        h: impl Borrow<Var>,
+        cand: impl Borrow<Var>,
+    ) -> Var {
+        let (z, h, cand) = (*z.borrow(), *h.borrow(), *cand.borrow());
+        let buf = self.grab();
+        let v = kernel::gru_blend(buf, self.value(z), self.value(h), self.value(cand));
+        self.push(v, Op::GruBlend(z, h, cand))
     }
 
-    fn sum_cols(&mut self, a: &Var) -> Var {
-        Tape::sum_cols(self, *a)
+    fn softmax_rows(&mut self, a: impl Borrow<Var>) -> Var {
+        let a = *a.borrow();
+        let v = self.nodes[a.0].value.softmax_rows();
+        self.push(v, Op::SoftmaxRows(a))
     }
 
-    fn concat_cols(&mut self, parts: &[&Var]) -> Var {
-        let parts: Vec<Var> = parts.iter().map(|&&v| v).collect();
-        Tape::concat_cols(self, &parts)
+    fn sum_cols(&mut self, a: impl Borrow<Var>) -> Var {
+        let a = *a.borrow();
+        let v = self.nodes[a.0].value.sum_cols();
+        self.push(v, Op::SumCols(a))
     }
 
-    fn slice_cols(&mut self, a: &Var, start: usize, end: usize) -> Var {
-        Tape::slice_cols(self, *a, start, end)
+    fn concat_cols(&mut self, parts: &[impl Borrow<Var>]) -> Var {
+        assert!(!parts.is_empty(), "concat_cols needs at least one node");
+        let parts: Vec<Var> = parts.iter().map(|v| *v.borrow()).collect();
+        let mats: Vec<&Matrix> = parts.iter().map(|v| &self.nodes[v.0].value).collect();
+        let v = Matrix::concat_cols(&mats);
+        self.push(v, Op::ConcatCols(parts))
+    }
+
+    fn slice_cols(&mut self, a: impl Borrow<Var>, start: usize, end: usize) -> Var {
+        let a = *a.borrow();
+        let v = self.nodes[a.0].value.slice_cols(start, end);
+        self.push(v, Op::SliceCols(a, start))
     }
 
     fn group(&mut self, parts: Vec<Var>) -> Vec<Var> {
@@ -1520,14 +1451,6 @@ mod tests {
         t.backward(l);
         let g = t.grad(x).unwrap()[(0, 0)];
         assert!((g - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn one_minus_matches_manual() {
-        let mut t = Tape::new();
-        let x = t.constant(Matrix::from_vec(1, 2, vec![0.3, 0.9]));
-        let y = t.one_minus(x);
-        assert_eq!(t.value(y).as_slice(), &[0.7, 0.100000024]);
     }
 
     #[test]

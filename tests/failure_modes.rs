@@ -10,6 +10,7 @@ use cohortnet_ehr::io::{dataset_from_csv, CsvError};
 use cohortnet_ehr::record::{EhrDataset, PatientRecord, Task};
 use cohortnet_metrics::{macro_report, pr_auc, roc_auc};
 use cohortnet_tensor::matrix::Matrix;
+use cohortnet_tensor::Exec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -9,7 +9,7 @@ use cohortnet_metrics::{pr_auc, roc_auc};
 use cohortnet_tensor::gradcheck::max_grad_error;
 use cohortnet_tensor::matrix::Matrix;
 use cohortnet_tensor::nn::{Activation, Mlp};
-use cohortnet_tensor::ParamStore;
+use cohortnet_tensor::{Exec, ParamStore};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
